@@ -6,7 +6,9 @@ Four evaluators share one contract (rows of Q attend over rows of K/V):
 * nala_quadratic      - explicit N x N kernel-similarity matrix, row-normalized;
 * nala_linear         - the same kernel attention re-associated so no N x N
                         matrix is formed; O(N) in sequence length;
-* nala_causal_recurrent - left-to-right running-state form of the causal case.
+* nala_causal_recurrent - the causal case, chunkwise: a masked block inside
+                        each chunk of _CAUSAL_CHUNK rows plus a running
+                        state carried from one chunk to the next.
 
 The quadratic form is the reference: the linear and recurrent forms must
 reproduce it to near machine precision, which the test suite enforces.
@@ -49,6 +51,13 @@ def _check_qkv(Q, K, V):
 
 
 _GRAM_BLOCK = 1024
+
+#: Rows per chunk of the causal evaluator.  C=1 is the per-token recurrence
+#: and C=N the masked quadratic form.  Of C = 16..256, 64 was the fastest at
+#: N=4096, d=32 and within 10% of the fastest (32) at N=512, d=64: smaller
+#: chunks pay per-chunk call overhead, larger ones the O(C) in-chunk block
+#: per row.
+_CAUSAL_CHUNK = 64
 
 
 def _gram_matrix(A, B):
@@ -122,11 +131,16 @@ def nala_linear(Q, K, V, spec: KernelSpec) -> AttentionResult:
 
 
 def nala_causal_recurrent(Q, K, V, spec: KernelSpec) -> AttentionResult:
-    """Causal kernel attention as a single left-to-right state recurrence.
+    """Causal kernel attention as a chunkwise left-to-right state recurrence.
 
-    state += map_k(k_t) (x) v_t and zsum += map_k(k_t) per step, read out
-    through map_q(q_t).  O(N) in sequence length; row t reproduces the
-    causal quadratic evaluator's row t.
+    Rows go in chunks of C = _CAUSAL_CHUNK = 64.  Inside a chunk, row t
+    reads the earlier chunks through the carried state
+    S = sum map_k(k_i) (x) v_i and z = sum map_k(k_i), and the chunk's own
+    rows i <= t through a masked C x C similarity block; the chunk is then
+    folded into S and z.  O(N) in sequence length for fixed C, with one
+    numpy call per chunk instead of per token; 64 balances that call
+    overhead against the in-chunk block (see _CAUSAL_CHUNK).  Row t
+    reproduces the causal quadratic evaluator's row t.
     """
     Q, K, V = _check_qkv(Q, K, V)
     if Q.shape[0] != K.shape[0]:
@@ -136,10 +150,15 @@ def nala_causal_recurrent(Q, K, V, spec: KernelSpec) -> AttentionResult:
     state = np.zeros((fk.shape[1], V.shape[1]))
     zsum = np.zeros(fk.shape[1])
     out = np.empty((Q.shape[0], V.shape[1]))
-    for t in range(Q.shape[0]):
-        state += np.outer(fk[t], V[t])
-        zsum += fk[t]
-        out[t] = (fq[t] @ state) / (fq[t] @ zsum + DENOM_EPS)
+    for i in range(0, Q.shape[0], _CAUSAL_CHUNK):
+        rows = slice(i, i + _CAUSAL_CHUNK)
+        fq_c, fk_c, v_c = fq[rows], fk[rows], V[rows]
+        sims = np.tril(fq_c @ fk_c.T)
+        num = fq_c @ state + sims @ v_c
+        den = fq_c @ zsum + sims.sum(axis=1) + DENOM_EPS
+        out[rows] = num / den[:, None]
+        state += fk_c.T @ v_c
+        zsum += fk_c.sum(axis=0)
     return AttentionResult(out)
 
 
@@ -222,10 +241,11 @@ def block_forward(X, params: BlockParams, spec: KernelSpec, causal: bool = False
     """Forward pass of the gated attention block.
 
     Pre-norm residual layout: the input is layer-normed, projected to
-    Q/K/V/G, attention runs per head (recurrent form when causal, else the
-    linear form), the head concatenation is layer-normed, gated with
-    silu(G), projected by w_o, and added back to the input; a gelu feed-
-    forward with its own pre-norm forms the second residual branch.
+    Q/K/V/G, attention runs per head (the chunkwise causal form when
+    causal, else the linear form), the head concatenation is layer-normed,
+    gated with silu(G), projected by w_o, and added back to the input; a
+    gelu feed-forward with its own pre-norm forms the second residual
+    branch.
     """
     X = as_matrix(X)
     if X.shape[1] != params.dim:

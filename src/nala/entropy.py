@@ -159,12 +159,21 @@ class EntropyScanRecord:
     direction_id: int
 
 
+#: Relative spread at or below which pearson treats a side as constant.
+_FLAT_RTOL = 1e-9
+
+
 def pearson(xs, ys) -> float:
-    """Pearson correlation; nan when either side is (numerically) constant."""
+    """Pearson correlation; nan when either side is constant to within roundoff.
+
+    A side counts as constant when its std is at most _FLAT_RTOL times its
+    largest magnitude: roundoff jitter on a flat curve (relative ~1e-13)
+    would otherwise correlate with anything.
+    """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     sx, sy = x.std(), y.std()
-    if sx < 1e-15 or sy < 1e-15:
+    if sx <= _FLAT_RTOL * np.abs(x).max() or sy <= _FLAT_RTOL * np.abs(y).max():
         return float("nan")
     return float(((x - x.mean()) @ (y - y.mean())) / (x.size * sx * sy))
 

@@ -64,29 +64,7 @@ def nd_decompose(x) -> NDParts:
     return NDParts(norm, v / norm)
 
 
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    va, vb = as_vector(a), as_vector(b)
-    if va.size != vb.size:
-        raise DimensionMismatch(f"dot of lengths {va.size} and {vb.size}")
-    return float(va @ vb)
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise DimensionMismatch(f"matmul of {ma.shape} and {mb.shape}")
-    return ma @ mb
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator with a pinned bit stream (PCG64)."""
     return np.random.Generator(np.random.PCG64(seed))
 
-
-def gaussian_fill(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """rows x cols matrix of i.i.d. standard normal draws from the stream."""
-    if rows < 1 or cols < 1:
-        raise DimensionMismatch(f"invalid shape ({rows}, {cols})")
-    return rng.standard_normal((rows, cols))

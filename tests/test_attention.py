@@ -5,17 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nala.attention import (
+    _CAUSAL_CHUNK as C,
     BlockParams,
     block_forward,
+    gelu,
     layer_norm,
     nala_causal_recurrent,
     nala_linear,
     nala_quadratic,
     random_block_params,
+    silu,
     softmax_attention,
 )
+from nala.cli import max_rel_dev
 from nala.errors import DimensionMismatch, ZeroVector
 from nala.kernels import KernelKind, KernelSpec
 from nala.linalg import make_rng
@@ -205,6 +211,56 @@ class TestCausalRecurrent:
         quad = nala_quadratic(Q, K, V, spec, causal=True).output
         np.testing.assert_allclose(rec, quad, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 3 * C + 8])
+    def test_chunk_boundaries_match_masked_quadratic(self, n):
+        rng = make_rng(26)
+        spec = KernelSpec(lam=2.0)
+        Q, K, V = rng.standard_normal((3, n, 8))
+        rec = nala_causal_recurrent(Q, K, V, spec).output
+        quad = nala_quadratic(Q, K, V, spec, causal=True).output
+        assert max_rel_dev(rec, quad) <= 1e-10
+
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 16),
+        lam=st.sampled_from([1.0, 2.0, 4.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_length_matches_masked_quadratic(self, n, d, lam, seed):
+        rng = make_rng(seed)
+        spec = KernelSpec(lam=lam)
+        Q, K, V = rng.standard_normal((3, n, d))
+        rec = nala_causal_recurrent(Q, K, V, spec).output
+        quad = nala_quadratic(Q, K, V, spec, causal=True).output
+        assert max_rel_dev(rec, quad) <= 1e-10
+
+    @pytest.mark.parametrize("t", [C + 10, C - 1, C])
+    def test_rows_after_t_do_not_reach_rows_up_to_t(self, t):
+        # t = C - 1 closes the first chunk, t = C opens the second, and
+        # C + 10 sits inside it next to rows that change
+        rng = make_rng(27)
+        spec = KernelSpec(lam=2.0)
+        Q, K, V = rng.standard_normal((3, 3 * C, 8))
+        before = nala_causal_recurrent(Q, K, V, spec).output
+        Q2, K2, V2 = Q.copy(), K.copy(), V.copy()
+        for m in (Q2, K2, V2):
+            m[t + 1 :] = rng.standard_normal(m[t + 1 :].shape)
+        after = nala_causal_recurrent(Q2, K2, V2, spec).output
+        np.testing.assert_array_equal(after[: t + 1], before[: t + 1])
+        assert np.all(after[t + 1 :] != before[t + 1 :])
+
+    def test_all_zero_similarity_row_yields_zero_output(self):
+        # relu features of a fully negative query are zero, as in the
+        # quadratic form's test_all_zero_similarity_row_yields_zero_weights
+        Q = np.array([[1.0, 2.0], [-1.0, -2.0], [2.0, 1.0]])
+        K = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, 2.0]])
+        V = np.ones((3, 2))
+        spec = KernelSpec(kind=KernelKind.RELU)
+        rec = nala_causal_recurrent(Q, K, V, spec).output
+        np.testing.assert_array_equal(rec[1], np.zeros(2))
+        assert max_rel_dev(rec, nala_quadratic(Q, K, V, spec, causal=True).output) <= 1e-10
+
 
 class TestScaleCancellation:
     """Row normalization cancels query scale exactly for homogeneous kernels."""
@@ -279,6 +335,24 @@ class TestBlockForward:
         b = block_forward(X, params, KernelSpec(), causal=True)
         np.testing.assert_allclose(a[-1], b[-1], rtol=1e-9)
         assert np.abs(a[0] - b[0]).max() > 1e-9
+
+    def test_causal_matches_per_head_masked_quadratic(self):
+        rng = make_rng(28)
+        params = random_block_params(rng, 32, 4)
+        X = rng.standard_normal((200, 32))
+        spec = KernelSpec(lam=2.0)
+        h = layer_norm(X, params.ln1_gain, params.ln1_bias)
+        Q, K, V, G = (h @ w for w in (params.w_q, params.w_k, params.w_v, params.w_g))
+        attn = np.concatenate(
+            [
+                nala_quadratic(Q[:, s], K[:, s], V[:, s], spec, causal=True).output
+                for s in (slice(i, i + 8) for i in range(0, 32, 8))
+            ],
+            axis=1,
+        )
+        Y = X + (layer_norm(attn) * silu(G)) @ params.w_o
+        ref = Y + gelu(layer_norm(Y, params.ln2_gain, params.ln2_bias) @ params.ffn_w1) @ params.ffn_w2
+        assert max_rel_dev(block_forward(X, params, spec, causal=True), ref) <= 1e-10
 
     def test_width_mismatch_rejected(self):
         rng = make_rng(24)

@@ -221,6 +221,15 @@ class TestPearson:
     def test_constant_side_is_nan(self):
         assert math.isnan(pearson(np.arange(5.0), np.ones(5)))
 
+    def test_roundoff_jitter_on_a_flat_curve_is_nan(self):
+        # a homogeneous kernel's entropy curve: ~4.8 nats with a roundoff-
+        # sized drift that an absolute std floor would read as correlation
+        x = np.geomspace(0.25, 16.0, 16)
+        assert math.isnan(pearson(x, 4.8 + 1e-13 * x))
+        assert math.isnan(pearson(4.8 + 1e-13 * x, x))
+        # a small but real response is kept
+        assert pearson(x, 4.8 - 1e-3 * x) == pytest.approx(-1.0, abs=1e-9)
+
 
 class TestConcavityProbe:
     def test_uniform_row_is_concave(self):

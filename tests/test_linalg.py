@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nala.errors import DimensionMismatch, ZeroVector
-from nala.linalg import dot, gaussian_fill, make_rng, matmul, nd_decompose
+from nala.errors import ZeroVector
+from nala.linalg import make_rng, nd_decompose
 
 
 class TestNdDecompose:
@@ -40,69 +40,12 @@ class TestNdDecompose:
         assert abs(np.linalg.norm(parts.direction) - 1.0) <= 1e-12
 
 
-class TestDot:
-    def test_orthogonal(self):
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_hand_arithmetic(self):
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-    def test_basis_extraction(self):
-        rng = make_rng(0)
-        x = rng.standard_normal(6)
-        for i in range(6):
-            e = np.zeros(6)
-            e[i] = 1.0
-            assert dot(e, x) == x[i]
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            dot([1.0], [1.0, 2.0])
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = make_rng(1)
-        b = rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(matmul(np.eye(4), b), b)
-
-    def test_hand_arithmetic(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-        np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-    def test_associativity_on_random_matrices(self):
-        rng = make_rng(2)
-        a, b, c = (rng.standard_normal((8, 8)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        rel = np.linalg.norm(left - right) / np.linalg.norm(right)
-        assert rel <= 1e-10
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
-
-
-class TestGaussianFill:
+class TestMakeRng:
     def test_same_seed_bit_identical(self):
-        a = gaussian_fill(make_rng(42), 7, 5)
-        b = gaussian_fill(make_rng(42), 7, 5)
+        a = make_rng(42).standard_normal((7, 5))
+        b = make_rng(42).standard_normal((7, 5))
         np.testing.assert_array_equal(a, b)
 
-    def test_shape_and_finiteness(self):
-        m = gaussian_fill(make_rng(3), 3, 5)
-        assert m.shape == (3, 5)
-        assert np.all(np.isfinite(m))
-
-    def test_moments_match_standard_normal(self):
-        m = gaussian_fill(make_rng(4), 1000, 100)
-        assert abs(m.mean()) <= 0.02
-        assert abs(m.var() - 1.0) <= 0.05
-
     def test_streams_differ_across_seeds(self):
-        assert not np.array_equal(gaussian_fill(make_rng(5), 4, 4),
-                                  gaussian_fill(make_rng(6), 4, 4))
+        assert not np.array_equal(make_rng(5).standard_normal((4, 4)),
+                                  make_rng(6).standard_normal((4, 4)))
