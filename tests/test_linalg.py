@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nala.errors import ZeroVector
-from nala.linalg import make_rng, nd_decompose
+from nala.linalg import gaussian_fill, make_rng, nd_decompose
 
 
 class TestNdDecompose:
@@ -40,12 +40,22 @@ class TestNdDecompose:
         assert abs(np.linalg.norm(parts.direction) - 1.0) <= 1e-12
 
 
-class TestMakeRng:
+class TestGaussianFill:
     def test_same_seed_bit_identical(self):
-        a = make_rng(42).standard_normal((7, 5))
-        b = make_rng(42).standard_normal((7, 5))
+        a = gaussian_fill(make_rng(42), 7, 5)
+        b = gaussian_fill(make_rng(42), 7, 5)
         np.testing.assert_array_equal(a, b)
 
+    def test_shape_and_finiteness(self):
+        m = gaussian_fill(make_rng(3), 3, 5)
+        assert m.shape == (3, 5)
+        assert np.all(np.isfinite(m))
+
+    def test_moments_match_standard_normal(self):
+        m = gaussian_fill(make_rng(4), 1000, 100)
+        assert abs(m.mean()) <= 0.02
+        assert abs(m.var() - 1.0) <= 0.05
+
     def test_streams_differ_across_seeds(self):
-        assert not np.array_equal(make_rng(5).standard_normal((4, 4)),
-                                  make_rng(6).standard_normal((4, 4)))
+        assert not np.array_equal(gaussian_fill(make_rng(5), 4, 4),
+                                  gaussian_fill(make_rng(6), 4, 4))
