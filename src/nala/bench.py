@@ -30,9 +30,9 @@ DEFAULT_QUAD_CAP = 16384
 
 EVALUATORS: dict[str, Callable] = {
     "softmax": lambda Q, K, V, spec: softmax_attention(Q, K, V),
-    "nala_quadratic": lambda Q, K, V, spec: nala_quadratic(Q, K, V, spec),
-    "nala_linear": lambda Q, K, V, spec: nala_linear(Q, K, V, spec),
-    "nala_causal_recurrent": lambda Q, K, V, spec: nala_causal_recurrent(Q, K, V, spec),
+    "nala_quadratic": nala_quadratic,
+    "nala_linear": nala_linear,
+    "nala_causal_recurrent": nala_causal_recurrent,
 }
 
 _QUADRATIC_MEMORY = frozenset({"softmax", "nala_quadratic"})

@@ -78,27 +78,23 @@ def write_csv(records, path: str | None, record_type=None) -> None:
     lines = [header]
     for r in records:
         lines.append(",".join(_format(getattr(r, f.name)) for f in fields))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write {path!r}: {exc}") from exc
+    _write_text("\n".join(lines) + "\n", path)
 
 
 def write_report(lines, path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    _write_text("\n".join(lines) + "\n", path)
+
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write text to path as UTF-8 with LF line ends, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write {path!r}: {exc}") from exc
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc}") from exc
 
 
 def max_rel_dev(a: np.ndarray, b: np.ndarray) -> float:

@@ -18,6 +18,11 @@ The scan routines probe how H responds to scaling the query:
   scale-invariant - the scale cancels in the normalization;
 * the norm-aware kernel sits in between by construction: its query
   exponent couples the row's entropy to the query norm.
+
+The sweeps stack all their scaled query rows into one matrix and evaluate
+it with one quadratic evaluator call per kernel, so the shared key set is
+validated and mapped (phi_k(K)) once per kernel rather than once per row.
+The price is memory: the call holds n_dirs * len(c_grid) x N weights.
 """
 
 from __future__ import annotations
@@ -103,21 +108,31 @@ def theorem1_scan(x, c_grid) -> Theorem1Scan:
     return Theorem1Scan(i, ents, i <= ents.size - 2, tied)
 
 
+def _row_entropies(Q, K, spec: KernelSpec | None) -> np.ndarray:
+    """Entropies of the attention rows of every row of Q over key set K.
+
+    One quadratic evaluator call (softmax when spec is None), so the keys
+    are validated and mapped once however many query rows there are.
+    Memory is len(Q) x len(K) floats for the weights.
+    """
+    V = np.zeros((np.shape(K)[0], 1))
+    if spec is None:
+        result = softmax_attention(Q, K, V)
+    else:
+        result = nala_quadratic(Q, K, V, spec)
+    return result.row_entropy
+
+
 def attention_row_entropy(query, K, spec: KernelSpec | None) -> float:
     """Entropy of one attention row of `query` over key set K.
 
     spec selects the kernel; None selects the softmax oracle.  Rows come
     from the explicit-weights (quadratic) evaluator, the only form that
-    materializes them.
+    materializes them.  This is the one-row case of the sweeps below,
+    which evaluate many rows in one call; calling it per row re-maps K
+    every time.
     """
-    K = np.asarray(K, dtype=np.float64)
-    Q = np.asarray(query, dtype=np.float64)[None, :]
-    V = np.zeros((K.shape[0], 1))
-    if spec is None:
-        result = softmax_attention(Q, K, V)
-    else:
-        result = nala_quadratic(Q, K, V, spec)
-    return float(result.row_entropy[0])
+    return float(_row_entropies(np.asarray(query)[None, :], K, spec)[0])
 
 
 def entropy_deviation_scan(q_dir, K, spec: KernelSpec | None, c_grid) -> tuple[np.ndarray, float]:
@@ -125,10 +140,13 @@ def entropy_deviation_scan(q_dir, K, spec: KernelSpec | None, c_grid) -> tuple[n
 
     Returns (entropies, max - min).  The spread is the scale sensitivity of
     the kernel's attention row for this direction: zero up to roundoff for
-    positively homogeneous kernels, positive for norm-aware ones.
+    positively homogeneous kernels, positive for norm-aware ones.  All the
+    scaled rows go through one evaluator call, so K is mapped once; memory
+    is len(c_grid) x N floats.
     """
     u = np.asarray(q_dir, dtype=np.float64)
-    ents = np.array([attention_row_entropy(c * u, K, spec) for c in np.asarray(c_grid)])
+    c = np.asarray(c_grid, dtype=np.float64)
+    ents = _row_entropies(c[:, None] * u, K, spec)
     return ents, float(ents.max() - ents.min())
 
 
@@ -191,7 +209,10 @@ def norm_entropy_experiment(
 
     Draws one Gaussian key set K (N x d) and n_dirs unit query directions,
     then records the attention-row entropy of c * u over K for every
-    (kernel, direction, scale) triple, kernel-major.  Returns the records
+    (kernel, direction, scale) triple: kernel, then direction, then
+    scale.  Each kernel pass is one evaluator call on all n_dirs *
+    len(c_grid) rows, so phi_k(K) is mapped once per pass and the call
+    holds n_dirs * len(c_grid) x N weights.  Returns the records
     and, per kernel id, the Pearson correlation between query norm and
     entropy across all of that kernel's records (nan when the entropies do
     not vary).
@@ -218,14 +239,16 @@ def norm_entropy_experiment(
 
     records: list[EntropyScanRecord] = []
     correlations: dict[str, float] = {}
+    # Direction-major rows: row i is c_grid[i % len] * dirs[i // len].
+    Q = (dirs[:, None, :] * c_grid[:, None]).reshape(-1, d)
+    norms = np.tile(c_grid, n_dirs)
+    dir_ids = np.repeat(np.arange(n_dirs), c_grid.size)
     for kernel_id, spec in passes:
-        norms, ents = [], []
-        for dir_id in range(n_dirs):
-            row_ents, _ = entropy_deviation_scan(dirs[dir_id], K, spec, c_grid)
-            for c, H in zip(c_grid, row_ents):
-                records.append(EntropyScanRecord(kernel_id, float(c), float(H), dir_id))
-            norms.extend(c_grid)
-            ents.extend(row_ents)
+        ents = _row_entropies(Q, K, spec)
+        records.extend(
+            EntropyScanRecord(kernel_id, c, H, i)
+            for c, H, i in zip(norms.tolist(), ents.tolist(), dir_ids.tolist())
+        )
         correlations[kernel_id] = pearson(norms, ents)
     return records, correlations
 

@@ -67,10 +67,3 @@ def nd_decompose(x) -> NDParts:
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator with a pinned bit stream (PCG64)."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def gaussian_fill(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """rows x cols matrix of i.i.d. standard normal draws from the stream."""
-    if rows < 1 or cols < 1:
-        raise DimensionMismatch(f"invalid shape ({rows}, {cols})")
-    return rng.standard_normal((rows, cols))

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nala import entropy, kernels
 from nala.entropy import (
     EntropyScanRecord,
+    attention_row_entropy,
     concavity_probe,
     entropy_deviation_scan,
     norm_entropy_experiment,
@@ -211,6 +213,85 @@ class TestNormEntropyExperiment:
         for dir_id in range(8):
             ents = np.array([r.entropy for r in records if r.direction_id == dir_id])
             assert np.all(np.diff(ents) < 0)
+
+
+_SWEEP_SPECS = [
+    KernelSpec(),
+    KernelSpec(kind="relu"),
+    KernelSpec(kind="fixed_power", lam=3.0),
+    KernelSpec(kind="one_plus_elu"),
+    None,
+]
+
+
+def _spec_id(spec):
+    return "softmax" if spec is None else spec.kind.value
+
+
+class TestBatchedSweep:
+    """The sweeps evaluate all rows of a pass in one call; each row must
+    still be what a one-row evaluation gives."""
+
+    @pytest.mark.parametrize("spec", _SWEEP_SPECS, ids=_spec_id)
+    def test_deviation_scan_matches_per_row_evaluation(self, spec):
+        rng = make_rng(12)
+        K = rng.standard_normal((48, 6))
+        u = rng.standard_normal(6)
+        u /= np.linalg.norm(u)
+        grid = np.geomspace(0.25, 16.0, 11)
+        ents, spread = entropy_deviation_scan(u, K, spec, grid)
+        per_row = np.array([attention_row_entropy(c * u, K, spec) for c in grid])
+        assert ents.shape == grid.shape
+        assert np.abs(ents - per_row).max() <= 1e-13
+        assert spread == ents.max() - ents.min()
+
+    def test_experiment_records_are_direction_major_and_match_per_row(self):
+        n_dirs, N, d = 5, 24, 6
+        grid = np.geomspace(0.5, 8.0, 7)
+        specs = [KernelSpec(), KernelSpec(kind="relu")]
+        records, _ = norm_entropy_experiment(
+            make_rng(13), specs, n_dirs, N, d, grid, softmax_too=True
+        )
+        # the same draws the experiment makes, in the same order
+        rng = make_rng(13)
+        K = rng.standard_normal((N, d))
+        dirs = rng.standard_normal((n_dirs, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+
+        per_pass = n_dirs * grid.size
+        assert len(records) == 3 * per_pass
+        for p, spec in enumerate(specs + [None]):
+            chunk = records[p * per_pass : (p + 1) * per_pass]
+            for i, r in enumerate(chunk):
+                assert r.kernel_id == _spec_id(spec)
+                assert r.direction_id == i // grid.size
+                assert r.query_norm == grid[i % grid.size]
+                expected = attention_row_entropy(r.query_norm * dirs[r.direction_id], K, spec)
+                assert abs(r.entropy - expected) <= 1e-13
+
+    def test_one_key_map_and_one_evaluator_call_per_pass(self, monkeypatch):
+        calls = {"phi_k": 0, "nala_quadratic": 0, "softmax_attention": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(kernels, "phi_k", counting("phi_k", kernels.phi_k))
+        for name in ("nala_quadratic", "softmax_attention"):
+            monkeypatch.setattr(entropy, name, counting(name, getattr(entropy, name)))
+
+        grid = np.geomspace(0.5, 8.0, 6)
+        specs = [KernelSpec(), KernelSpec(kind="fixed_power")]
+        norm_entropy_experiment(make_rng(14), specs, 4, 16, 4, grid, softmax_too=True)
+        assert calls == {"phi_k": 1, "nala_quadratic": 2, "softmax_attention": 1}
+
+        calls.update(dict.fromkeys(calls, 0))
+        u = np.array([0.6, 0.8, 0.0, 0.0])
+        entropy_deviation_scan(u, make_rng(15).standard_normal((16, 4)), KernelSpec(), grid)
+        assert calls == {"phi_k": 1, "nala_quadratic": 1, "softmax_attention": 0}
 
 
 class TestPearson:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nala.errors import ZeroVector
-from nala.linalg import gaussian_fill, make_rng, nd_decompose
+from nala.linalg import nd_decompose
 
 
 class TestNdDecompose:
@@ -38,24 +38,3 @@ class TestNdDecompose:
         err = np.abs(parts.norm * parts.direction - x)
         assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(x)))
         assert abs(np.linalg.norm(parts.direction) - 1.0) <= 1e-12
-
-
-class TestGaussianFill:
-    def test_same_seed_bit_identical(self):
-        a = gaussian_fill(make_rng(42), 7, 5)
-        b = gaussian_fill(make_rng(42), 7, 5)
-        np.testing.assert_array_equal(a, b)
-
-    def test_shape_and_finiteness(self):
-        m = gaussian_fill(make_rng(3), 3, 5)
-        assert m.shape == (3, 5)
-        assert np.all(np.isfinite(m))
-
-    def test_moments_match_standard_normal(self):
-        m = gaussian_fill(make_rng(4), 1000, 100)
-        assert abs(m.mean()) <= 0.02
-        assert abs(m.var() - 1.0) <= 0.05
-
-    def test_streams_differ_across_seeds(self):
-        assert not np.array_equal(gaussian_fill(make_rng(5), 4, 4),
-                                  gaussian_fill(make_rng(6), 4, 4))
