@@ -1,11 +1,12 @@
 """Wall-clock scaling of the attention evaluators.
 
 Times each evaluator on one shared random instance per sequence length,
-reports the median of several runs after warmups, and fits a log-log
-slope per evaluator.  The O(N^2) evaluators should fit a slope near 2,
-the re-associated and recurrent forms near 1.  Checksums (sum of output
-entries) are carried along both to defeat dead-code elimination and to
-confirm that the timed paths agree numerically.
+reports the median, minimum and interquartile range of several runs after
+warmups, and fits a log-log slope per evaluator to the medians.  The O(N^2)
+evaluators should fit a slope near 2, the re-associated and recurrent forms
+near 1.  Checksums (sum of output entries) are carried along both to
+defeat dead-code elimination and to confirm that the timed paths agree
+numerically.
 """
 
 from __future__ import annotations
@@ -40,12 +41,19 @@ _QUADRATIC_MEMORY = frozenset({"softmax", "nala_quadratic"})
 
 @dataclass
 class BenchRecord:
-    """One timed (evaluator, N) point; skipped points carry nan and reps=0."""
+    """One timed (evaluator, N) point; skipped points carry nan and reps=0.
+
+    wall_seconds is the median of the timed runs; min_seconds and
+    iqr_seconds (75th minus 25th percentile, 0 for one run) give the
+    spread around it.
+    """
 
     evaluator_id: str
     n: int
     d: int
     wall_seconds: float
+    min_seconds: float
+    iqr_seconds: float
     reps: int
     checksum: float
 
@@ -69,8 +77,9 @@ def run_scaling_sweep(
 
     Each N gets one random (Q, K, V) instance shared by every evaluator.
     wall_seconds is the median of `reps` timed runs after `warmups` unhinted
-    runs, on a monotonic clock.  Quadratic-memory evaluators are skipped
-    (recorded with nan) above quad_cap.  Returns the records plus a slope
+    runs, on a monotonic clock, with the runs' minimum and interquartile
+    range next to it.  Quadratic-memory evaluators are skipped (recorded
+    with nan) above quad_cap.  Returns the records plus a slope
     per evaluator fitted over its measured points.
     """
     ids = list(evaluator_ids) if evaluator_ids is not None else list(EVALUATORS)
@@ -87,9 +96,8 @@ def run_scaling_sweep(
         V = rng.standard_normal((n, d))
         for evaluator_id in ids:
             if evaluator_id in _QUADRATIC_MEMORY and n > quad_cap:
-                records.append(
-                    BenchRecord(evaluator_id, n, d, float("nan"), 0, float("nan"))
-                )
+                nan = float("nan")
+                records.append(BenchRecord(evaluator_id, n, d, nan, nan, nan, 0, nan))
                 continue
             fn = EVALUATORS[evaluator_id]
             checksum = 0.0
@@ -101,8 +109,12 @@ def run_scaling_sweep(
                 result = fn(Q, K, V, spec)
                 times.append(time.perf_counter() - start)
                 checksum = float(result.output.sum())
+            q1, q3 = np.percentile(times, [25, 75])
             records.append(
-                BenchRecord(evaluator_id, n, d, statistics.median(times), reps, checksum)
+                BenchRecord(
+                    evaluator_id, n, d, statistics.median(times), min(times),
+                    float(q3 - q1), reps, checksum,
+                )
             )
 
     slopes = {}

@@ -283,11 +283,14 @@ def cmd_verify_theorems(args) -> int:
         f"min similarity {sims.min():.3e} over {sims.size} Gaussian pairs",
     )
 
-    # The [cos; sin] encoding preserves the direction's squared length.
+    # The [cos; sin] encoding preserves the direction's squared length:
+    # phi_k's blocks divided by the magnitudes |u_i|**lambda are cos and sin.
     dirs = rng.standard_normal((1000, args.d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    angles = spec.squash_scale * np.tanh(dirs)
-    trig_norm = (np.cos(angles) ** 2 + np.sin(angles) ** 2).sum(axis=1)
+    mags = np.abs(dirs) ** spec.lam
+    feats = phi_k(dirs, spec)
+    cos_blk, sin_blk = feats[:, : args.d] / mags, feats[:, args.d :] / mags
+    trig_norm = (cos_blk**2 + sin_blk**2).sum(axis=1)
     err = float(np.abs(trig_norm - args.d).max())
     report(
         "sign encoding preserves the trig-block norm",

@@ -122,7 +122,19 @@ def test_criterion_04_trig_block_norm_preservation():
     totals = (np.cos(angles) ** 2 + np.sin(angles) ** 2).sum(axis=1)
     worst = float(np.abs(totals - d).max())
     assert worst <= 1e-12, f"max |total - d| = {worst:.3e}"
-    _report(4, f"max |sum(cos^2+sin^2) - d| = {worst:.3e} over 1000 directions")
+    # the same property on the library's output: phi_k's two blocks divided
+    # by the magnitudes |u_i|**lambda are the cos and sin of the angles
+    spec = KernelSpec(lam=2.0)
+    feats = phi_k(dirs, spec)
+    mags = np.abs(dirs) ** spec.lam
+    lib_totals = ((feats[:, :d] / mags) ** 2 + (feats[:, d:] / mags) ** 2).sum(axis=1)
+    lib_worst = float(np.abs(lib_totals - d).max())
+    assert lib_worst <= 1e-12, f"phi_k blocks: max |total - d| = {lib_worst:.3e}"
+    _report(
+        4,
+        f"max |sum(cos^2+sin^2) - d| = {worst:.3e} over 1000 directions "
+        f"({lib_worst:.3e} from phi_k)",
+    )
 
 
 def test_criterion_05_entropy_monotone_beyond_threshold():
@@ -361,9 +373,9 @@ def _zeroed(params: BlockParams) -> BlockParams:
 def test_criterion_11_block_identity_and_cli_determinism(tmp_path):
     """Zero-weight block is the identity; CLI output bytes depend only on flags.
 
-    Benchmark timings are physical measurements, so their wall_seconds
-    column is excluded from the byte comparison; every seed-derived byte
-    must still match.
+    Benchmark timings are physical measurements, so their wall_seconds,
+    min_seconds and iqr_seconds columns are excluded from the byte
+    comparison; every seed-derived byte must still match.
     """
     rng = make_rng(1111)
     params = _zeroed(random_block_params(rng, 32, 4))
@@ -389,8 +401,8 @@ def test_criterion_11_block_identity_and_cli_determinism(tmp_path):
             assert code == 0, f"{name} exited {code}"
         a, b = (p.read_text() for p in paths)
         if name == "bench":
-            a = _drop_column(a, "wall_seconds")
-            b = _drop_column(b, "wall_seconds")
+            for column in ("wall_seconds", "min_seconds", "iqr_seconds"):
+                a, b = _drop_column(a, column), _drop_column(b, column)
         assert a == b, f"{name} output differs between identical invocations"
     _report(11, "zero-weight identity exact; 6 subcommands byte-stable under fixed seed")
 

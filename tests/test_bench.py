@@ -46,6 +46,7 @@ class TestScalingSweep:
         skipped = [r for r in records if r.reps == 0]
         assert [(r.evaluator_id, r.n) for r in skipped] == [("nala_quadratic", 64)]
         assert math.isnan(skipped[0].wall_seconds)
+        assert math.isnan(skipped[0].min_seconds) and math.isnan(skipped[0].iqr_seconds)
         # slope fitting needs two points; the capped evaluator has only one
         assert "nala_quadratic" not in slopes
         assert "nala_linear" in slopes
@@ -59,6 +60,21 @@ class TestScalingSweep:
         timed = {eid: EVALUATORS[eid](Q, K, V, spec).output for eid in EVALUATORS}
         for eid in EVALUATORS:
             np.testing.assert_allclose(timed[eid], reference[eid], atol=1e-10)
+
+    def test_min_and_spread_around_the_median(self):
+        records, _ = run_scaling_sweep(
+            make_rng(5), [64, 128], 8, KernelSpec(),
+            evaluator_ids=["nala_linear"], reps=5, warmups=0,
+        )
+        for r in records:
+            assert 0 < r.min_seconds <= r.wall_seconds
+            assert r.iqr_seconds >= 0
+        single, _ = run_scaling_sweep(
+            make_rng(5), [64], 8, KernelSpec(),
+            evaluator_ids=["nala_linear"], reps=1, warmups=0,
+        )
+        assert single[0].min_seconds == single[0].wall_seconds
+        assert single[0].iqr_seconds == 0.0
 
     def test_unknown_evaluator_rejected(self):
         with pytest.raises(ValueError):

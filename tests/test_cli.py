@@ -134,7 +134,7 @@ class TestBench:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "evaluator_id,n,d,wall_seconds,reps,checksum"
+        assert lines[0] == "evaluator_id,n,d,wall_seconds,min_seconds,iqr_seconds,reps,checksum"
         assert len(lines) == 5
 
 

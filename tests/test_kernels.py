@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nala.errors import WrongKernel, ZeroVector
 from nala.kernels import (
+    _MAP_BLOCK_ELEMS,
     KernelKind,
     KernelSpec,
     baseline_map,
@@ -165,6 +166,81 @@ class TestPhiK:
         mag_a = np.hypot(a[:d], a[d:])
         mag_b = np.hypot(b[:d], b[d:])
         np.testing.assert_allclose(mag_a, mag_b, rtol=1e-14)
+
+
+def assert_matches_transcription(out, x, lam, scale=math.pi / 4, key=False):
+    """Rowwise check against the scalar cos/sin transcription: rtol 1e-14 and
+    atol 1e-14 times the row's largest entry."""
+    oracle = scalar_phi_k if key else scalar_phi_q
+    d = x.shape[-1]
+    assert out.shape == x.shape[:-1] + (2 * d,)
+    for row, got in zip(x.reshape(-1, d), out.reshape(-1, 2 * d)):
+        want = np.array(oracle(row.tolist(), lam, scale))
+        np.testing.assert_allclose(
+            got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max()
+        )
+
+
+class TestMapAccuracy:
+    """The vectorized maps against the scalar cos/sin transcriptions."""
+
+    @given(
+        row=st.lists(
+            st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=64
+        ),
+        lam=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+        scale=st.one_of(
+            st.just(math.pi / 4),
+            st.floats(0.0, math.pi / 4, exclude_min=True, allow_subnormal=False),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_transcription(self, row, lam, scale):
+        x = np.array(row)
+        n = math.sqrt(sum(v * v for v in row))
+        # the transcriptions apply no mag_floor: keep direction entries
+        # clear of it (or exactly zero, which both sides map to zero)
+        assume(n > 0 and all(v == 0 or abs(v) / n >= 1e-11 for v in row))
+        spec = KernelSpec(lam=lam, squash_scale=scale)
+        assert_matches_transcription(phi_q(x, spec), x, lam, scale)
+        assert_matches_transcription(phi_k(x, spec), x, lam, scale, key=True)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_both_sides_of_the_chunk_path(self, extra):
+        # rows * d = _MAP_BLOCK_ELEMS - d and exactly _MAP_BLOCK_ELEMS map in
+        # one piece; + d takes the chunked loop with a one-row tail
+        d = 32
+        rows = _MAP_BLOCK_ELEMS // d + extra
+        x = make_rng(30).standard_normal((rows, d))
+        spec = KernelSpec(lam=2.0)
+        assert_matches_transcription(phi_q(x, spec), x, 2.0)
+        assert_matches_transcription(phi_k(x, spec), x, 2.0, key=True)
+
+    def test_three_dimensional_input(self):
+        x = make_rng(31).standard_normal((3, 5, 7))
+        spec = KernelSpec(lam=4.0)
+        assert_matches_transcription(phi_q(x, spec), x, 4.0)
+        assert_matches_transcription(phi_k(x, spec), x, 4.0, key=True)
+
+    def test_entries_below_mag_floor_map_to_zero(self):
+        spec = KernelSpec(lam=2.0)
+        q = np.array([[1.0, 3e-13, -0.5, -2e-13], [-2.0, 1e-15, 0.0, 4.0]])
+        out = phi_q(q, spec)
+        d = q.shape[-1]
+        small = np.abs(q / np.linalg.norm(q, axis=1, keepdims=True)) < spec.mag_floor
+        assert small.sum() == 4
+        assert np.all(out[..., :d][small] == 0.0)
+        assert np.all(out[..., d:][small] == 0.0)
+        assert np.all(out[..., :d][~small] > 0.0)
+
+    def test_key_magnitude_near_float64_max_stays_finite(self):
+        # |k_0|**4 ~ 1.5e308: doubling that magnitude would overflow
+        lam = 4.0
+        k = np.array([1.5e308 ** (1 / lam), -0.8e77, 0.3e77])
+        out = phi_k(k, KernelSpec(lam=lam))
+        assert np.abs(out).max() > 1e308
+        assert np.all(np.isfinite(out))
+        assert_matches_transcription(out, k, lam, key=True)
 
 
 class TestBaselineMap:
