@@ -9,6 +9,7 @@ carried between chunks.
 import numpy as np
 
 from nala import KernelSpec, nala_causal_recurrent, nala_linear, nala_quadratic
+from nala.attention import row_entropy_nats
 from nala.cli import max_rel_dev
 from nala.linalg import make_rng
 
@@ -29,7 +30,8 @@ print(f"causal    : max rel deviation chunked recurrence vs masked quadratic = "
 
 print(f"\nquadratic weight rows: min {quad.weights.min():.3e}, "
       f"row sums in [{quad.weights.sum(1).min():.12f}, {quad.weights.sum(1).max():.12f}]")
-print(f"row entropies: {quad.row_entropy.min():.4f} .. {quad.row_entropy.max():.4f} "
+row_entropies = row_entropy_nats(quad.weights)
+print(f"row entropies: {row_entropies.min():.4f} .. {row_entropies.max():.4f} "
       f"(ln N = {np.log(N):.4f})")
 
 doubled = nala_linear(Q, np.vstack([K, K]), np.vstack([V, V]), spec)

@@ -34,11 +34,10 @@ _LN_EPS = 1e-6  # layer-norm variance floor
 
 @dataclass
 class AttentionResult:
-    """Output rows plus, for quadratic evaluators, weights and row entropies."""
+    """Output rows plus, for quadratic evaluators, the weights (see row_entropy_nats)."""
 
     output: np.ndarray
     weights: np.ndarray | None = None
-    row_entropy: np.ndarray | None = None
 
 
 def _check_qkv(Q, K, V):
@@ -96,7 +95,7 @@ def softmax_attention(Q, K, V, causal: bool = False) -> AttentionResult:
     logits -= logits.max(axis=1, keepdims=True)
     weights = np.exp(logits, out=logits)
     weights /= weights.sum(axis=1, keepdims=True)
-    return AttentionResult(weights @ V, weights, row_entropy_nats(weights))
+    return AttentionResult(weights @ V, weights)
 
 
 def nala_quadratic(Q, K, V, spec: KernelSpec, causal: bool = False) -> AttentionResult:
@@ -112,7 +111,7 @@ def nala_quadratic(Q, K, V, spec: KernelSpec, causal: bool = False) -> Attention
     if causal:
         sims[~np.tri(Q.shape[0], K.shape[0], dtype=bool)] = 0.0
     weights = np.divide(sims, sims.sum(axis=1, keepdims=True) + DENOM_EPS, out=sims)
-    return AttentionResult(weights @ V, weights, row_entropy_nats(weights))
+    return AttentionResult(weights @ V, weights)
 
 
 def nala_linear(Q, K, V, spec: KernelSpec) -> AttentionResult:

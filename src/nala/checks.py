@@ -1,0 +1,140 @@
+"""The library's core properties, one check each.
+
+Each function draws its instances from the generator it is given, in a
+fixed order, and returns CheckResult records.  `nala verify-theorems` and
+`nala grad-check` print them as PASS/FAIL lines; the acceptance suite calls
+the same functions with its own seeds and asserts on them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .entropy import concavity_probe, entropy_deviation_scan, prop2_invariance_check, theorem1_scan
+from .errors import NearSingular
+from .gradcheck import SINGULAR_FLOOR, finite_diff_jacobian, jac_phi_k, jac_phi_q, max_rel_error
+from .kernels import KernelKind, KernelSpec, phi_k, phi_q
+
+#: Largest accepted relative Jacobian error; central differences carry ~1e-11.
+GRAD_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One property measured on seeded instances, with the bound it is held to."""
+
+    name: str
+    passed: bool
+    measured: float
+    bound: float
+    detail: str
+
+
+def exp_entropy_threshold(rng: np.random.Generator) -> CheckResult:
+    """Exponential-row entropy ends strictly decreasing over scales [0.1, 20], 100 rows per N."""
+    c_grid = np.geomspace(0.1, 20.0, 32)
+    sizes = (4, 16, 64)
+    monotone = sum(theorem1_scan(rng.standard_normal(n), c_grid).monotone_after
+                   for n in sizes for _ in range(100))
+    total = 100 * len(sizes)
+    return CheckResult("exp-row entropy decreases beyond a scale threshold", monotone == total,
+                       monotone, total, f"{monotone}/{total} random unique-max rows, N in {sizes}")
+
+
+def scale_invariance_split(
+    rng: np.random.Generator, n: int, d: int, lam: float
+) -> list[CheckResult]:
+    """Over query scales [0.5, 8], relu and fixed_power row entropies stay flat; nala's move."""
+    K = rng.standard_normal((n, d))
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    sweep = np.geomspace(0.5, 8.0, 16)
+    results = []
+    for kind in (KernelKind.RELU, KernelKind.FIXED_POWER):
+        dev = prop2_invariance_check(u, K, KernelSpec(kind=kind, lam=lam), sweep)
+        results.append(CheckResult(f"{kind.value} attention entropy is query-scale invariant",
+                                   dev <= 1e-12, dev, 1e-12,
+                                   f"max deviation {dev:.3e} over scales [0.5, 8]"))
+    _, dev = entropy_deviation_scan(u, K, KernelSpec(kind=KernelKind.NALA, lam=lam), sweep)
+    results.append(CheckResult("nala attention entropy depends on the query norm", dev > 1e-3,
+                               dev, 1e-3, f"max deviation {dev:.3e} over scales [0.5, 8]"))
+    return results
+
+
+def entropy_concavity(rng: np.random.Generator) -> CheckResult:
+    """Second differences (step 1e-4) of the entropy along each coordinate of 50 rows are <= 0."""
+    worst = -np.inf
+    for _ in range(50):
+        x = rng.uniform(0.2, 1.2, size=12)
+        for m in range(x.size):
+            worst = max(worst, float(concavity_probe(x, m, [1e-4]).max()))
+    return CheckResult("entropy second differences nonpositive on random rows", worst <= 1e-8,
+                       worst, 1e-8, f"max second difference {worst:.3e} over 50 rows x 12 coords")
+
+
+def similarity_nonnegative(rng: np.random.Generator, spec: KernelSpec) -> CheckResult:
+    """No similarity phi_q(q) . phi_k(k) over 10^5 Gaussian pairs in 16 dimensions is negative."""
+    qs = rng.standard_normal((100_000, 16))
+    ks = rng.standard_normal((100_000, 16))
+    sims = np.sum(phi_q(qs, spec) * phi_k(ks, spec), axis=1)
+    low = float(sims.min())
+    return CheckResult("kernel similarities are nonnegative", bool(np.all(sims >= 0.0)), low, 0.0,
+                       f"min similarity {low:.3e} over {sims.size} Gaussian pairs")
+
+
+def trig_block_norm(rng: np.random.Generator, d: int, spec: KernelSpec) -> CheckResult:
+    """phi_k's [cos; sin] blocks over |u_i|**lambda give sum(cos^2 + sin^2) = d per direction.
+
+    Magnitudes below the float64 normal range (large lambda) carry too few
+    bits to divide by; those entries are skipped and counted, and each row
+    is held to the number of entries kept.
+    """
+    dirs = rng.standard_normal((1000, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    mags = np.abs(dirs) ** spec.lam
+    kept = mags >= np.finfo(np.float64).tiny
+    feats = phi_k(dirs, spec)
+    cos_blk, sin_blk = (np.divide(blk, mags, out=np.zeros_like(mags), where=kept)
+                        for blk in (feats[:, :d], feats[:, d:]))
+    err = float(np.abs((cos_blk**2 + sin_blk**2).sum(axis=1) - kept.sum(axis=1)).max())
+    detail = f"max |sum(cos^2+sin^2) - d| = {err:.3e} over 1000 directions"
+    skipped = kept.size - int(kept.sum())
+    if skipped:
+        detail += f", {skipped} magnitudes below the float64 normal range skipped"
+    name = "sign encoding preserves the trig-block norm"
+    return CheckResult(name, err <= 1e-12, err, 1e-12, detail)
+
+
+def _admissible_point(rng: np.random.Generator, d: int, direction: bool) -> np.ndarray:
+    """A Gaussian draw clear of the |.|^p kink, as jac_phi_q and jac_phi_k need.
+
+    Every entry (of the unit direction, when `direction`) is at least
+    SINGULAR_FLOOR in magnitude; NearSingular after 1000 failed draws.
+    """
+    for _ in range(1000):
+        x = rng.standard_normal(d)
+        if np.all(np.abs(x / np.linalg.norm(x) if direction else x) >= SINGULAR_FLOOR):
+            return x
+    raise NearSingular(f"no admissible point in 1000 Gaussian draws at d={d}: every draw had "
+                       f"an entry below SINGULAR_FLOOR = {SINGULAR_FLOOR:g} in magnitude")
+
+
+def jacobians(
+    rng: np.random.Generator, d: int, spec: KernelSpec, points: int = 50
+) -> list[CheckResult]:
+    """Analytic phi_q and phi_k Jacobians against central differences at admissible points."""
+    worst = {"phi_q": 0.0, "phi_k": 0.0}
+    for _ in range(points):
+        q = _admissible_point(rng, d, direction=True)
+        k = _admissible_point(rng, d, direction=False)
+        fd_q = finite_diff_jacobian(lambda v: phi_q(v, spec), q)
+        fd_k = finite_diff_jacobian(lambda v: phi_k(v, spec), k)
+        worst["phi_q"] = max(worst["phi_q"], max_rel_error(jac_phi_q(q, spec), fd_q))
+        worst["phi_k"] = max(worst["phi_k"], max_rel_error(jac_phi_k(k, spec), fd_k))
+    return [
+        CheckResult(name, err <= GRAD_TOL, err, GRAD_TOL,
+                    f"max rel error {err:.9g} over {points} points (tol {GRAD_TOL:g})")
+        for name, err in worst.items()
+    ]

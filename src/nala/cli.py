@@ -17,29 +17,22 @@ import numpy as np
 
 from .attention import block_forward, nala_linear, nala_quadratic, random_block_params
 from .bench import BenchRecord, DEFAULT_QUAD_CAP, EVALUATORS, run_scaling_sweep
-from .entropy import (
-    EntropyScanRecord,
-    SOFTMAX_ID,
-    concavity_probe,
-    entropy_deviation_scan,
-    norm_entropy_experiment,
-    prop2_invariance_check,
-    theorem1_scan,
+from .checks import (
+    CheckResult,
+    entropy_concavity,
+    exp_entropy_threshold,
+    jacobians,
+    scale_invariance_split,
+    similarity_nonnegative,
+    trig_block_norm,
 )
-from .gradcheck import (
-    SINGULAR_FLOOR,
-    finite_diff_jacobian,
-    jac_phi_k,
-    jac_phi_q,
-    max_rel_error,
-)
-from .kernels import KernelKind, KernelSpec, phi_k, phi_q
+from .entropy import EntropyScanRecord, SOFTMAX_ID, norm_entropy_experiment
+from .kernels import KernelKind, KernelSpec
 from .linalg import make_rng
 
 KERNEL_CHOICES = [k.value for k in KernelKind] + [SOFTMAX_ID]
 
 EQUIV_TOL = 1e-10
-GRAD_TOL = 1e-6
 
 
 @dataclass
@@ -81,8 +74,11 @@ def write_csv(records, path: str | None, record_type=None) -> None:
     _write_text("\n".join(lines) + "\n", path)
 
 
-def write_report(lines, path: str | None) -> None:
+def _render_checks(results: list[CheckResult], path: str | None) -> int:
+    """One `PASS|FAIL name: detail` line per check; exit code 0 iff all passed."""
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     _write_text("\n".join(lines) + "\n", path)
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -150,41 +146,11 @@ def cmd_equiv_check(args, instances: int = 10) -> int:
     return 0 if worst <= EQUIV_TOL else 1
 
 
-def _admissible_point(rng, d: int, check) -> np.ndarray:
-    for _ in range(1000):
-        x = rng.standard_normal(d)
-        if check(x):
-            return x
-    raise RuntimeError("could not sample an admissible point")
-
-
-def cmd_grad_check(args, points: int = 50) -> int:
-    rng = make_rng(args.seed)
+def cmd_grad_check(args) -> int:
     if args.kernel != KernelKind.NALA.value:
         print("grad-check applies to the nala kernel only", file=sys.stderr)
         return 2
-    spec = _spec_nala(args)
-    worst = {"phi_q": 0.0, "phi_k": 0.0}
-    for _ in range(points):
-        q = _admissible_point(
-            rng, args.d, lambda x: np.all(np.abs(x / np.linalg.norm(x)) >= SINGULAR_FLOOR)
-        )
-        k = _admissible_point(rng, args.d, lambda x: np.all(np.abs(x) >= SINGULAR_FLOOR))
-        fd_q = finite_diff_jacobian(lambda v: phi_q(v, spec), q)
-        fd_k = finite_diff_jacobian(lambda v: phi_k(v, spec), k)
-        worst["phi_q"] = max(worst["phi_q"], max_rel_error(jac_phi_q(q, spec), fd_q))
-        worst["phi_k"] = max(worst["phi_k"], max_rel_error(jac_phi_k(k, spec), fd_k))
-    lines = []
-    ok = True
-    for name, err in worst.items():
-        passed = err <= GRAD_TOL
-        ok &= passed
-        lines.append(
-            f"{'PASS' if passed else 'FAIL'} {name}: max rel error {err:.9g} "
-            f"over {points} points (tol {GRAD_TOL:g})"
-        )
-    write_report(lines, args.out)
-    return 0 if ok else 1
+    return _render_checks(jacobians(make_rng(args.seed), args.d, _spec_nala(args)), args.out)
 
 
 def cmd_bench(args) -> int:
@@ -217,89 +183,15 @@ def cmd_block_demo(args) -> int:
 
 def cmd_verify_theorems(args) -> int:
     rng = make_rng(args.seed)
-    lines: list[str] = []
-    ok = True
-
-    def report(name: str, passed: bool, detail: str):
-        nonlocal ok
-        ok &= passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-
-    # Entropy of exponential rows becomes monotone decreasing in the scale.
-    c_grid = np.geomspace(0.1, 20.0, 32)
-    monotone = 0
-    trials_per_n, sizes = 100, (4, 16, 64)
-    for n in sizes:
-        for _ in range(trials_per_n):
-            x = rng.standard_normal(n)
-            if theorem1_scan(x, c_grid).monotone_after:
-                monotone += 1
-    total = trials_per_n * len(sizes)
-    report(
-        "exp-row entropy decreases beyond a scale threshold",
-        monotone == total,
-        f"{monotone}/{total} random unique-max rows, N in {sizes}",
-    )
-
-    # Homogeneous kernels cannot see the query norm; the nala kernel can.
-    K = rng.standard_normal((args.n, args.d))
-    u = rng.standard_normal(args.d)
-    u /= np.linalg.norm(u)
-    sweep = np.geomspace(0.5, 8.0, 16)
-    for kind in (KernelKind.RELU, KernelKind.FIXED_POWER):
-        dev = prop2_invariance_check(u, K, KernelSpec(kind=kind, lam=args.lam), sweep)
-        report(
-            f"{kind.value} attention entropy is query-scale invariant",
-            dev <= 1e-12,
-            f"max deviation {dev:.3e} over scales [0.5, 8]",
-        )
-    _, nala_dev = entropy_deviation_scan(u, K, _spec_nala(args), sweep)
-    report(
-        "nala attention entropy depends on the query norm",
-        nala_dev > 1e-3,
-        f"max deviation {nala_dev:.3e} over scales [0.5, 8]",
-    )
-
-    # Entropy responds concavely to bumping a non-dominant coordinate.
-    worst_sd = -np.inf
-    for _ in range(50):
-        x = rng.uniform(0.2, 1.2, size=12)
-        for m in range(x.size):
-            worst_sd = max(worst_sd, concavity_probe(x, m, [1e-4]).max())
-    report(
-        "entropy second differences nonpositive on random rows",
-        worst_sd <= 1e-8,
-        f"max second difference {worst_sd:.3e} over 50 rows x 12 coords",
-    )
-
-    # Every query/key feature product is a sum of positive cosine factors.
     spec = _spec_nala(args)
-    qs = rng.standard_normal((100_000, 16))
-    ks = rng.standard_normal((100_000, 16))
-    sims = np.sum(phi_q(qs, spec) * phi_k(ks, spec), axis=1)
-    report(
-        "kernel similarities are nonnegative",
-        bool(np.all(sims >= 0.0)),
-        f"min similarity {sims.min():.3e} over {sims.size} Gaussian pairs",
-    )
-
-    # The [cos; sin] encoding preserves the direction's squared length:
-    # phi_k's blocks divided by the magnitudes |u_i|**lambda are cos and sin.
-    dirs = rng.standard_normal((1000, args.d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    mags = np.abs(dirs) ** spec.lam
-    feats = phi_k(dirs, spec)
-    cos_blk, sin_blk = feats[:, : args.d] / mags, feats[:, args.d :] / mags
-    trig_norm = (cos_blk**2 + sin_blk**2).sum(axis=1)
-    err = float(np.abs(trig_norm - args.d).max())
-    report(
-        "sign encoding preserves the trig-block norm",
-        err <= 1e-12,
-        f"max |sum(cos^2+sin^2) - d| = {err:.3e} over 1000 directions",
-    )
-
-    write_report(lines, args.out)
-    return 0 if ok else 1
+    results = [
+        exp_entropy_threshold(rng),
+        *scale_invariance_split(rng, args.n, args.d, args.lam),
+        entropy_concavity(rng),
+        similarity_nonnegative(rng, spec),
+        trig_block_norm(rng, args.d, spec),
+    ]
+    return _render_checks(results, args.out)
 
 
 # --- parser ----------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .attention import nala_quadratic, softmax_attention
+from .attention import nala_quadratic, row_entropy_nats, softmax_attention
 from .errors import (
     DegenerateSequence,
     InvalidPerturbation,
@@ -120,7 +120,7 @@ def _row_entropies(Q, K, spec: KernelSpec | None) -> np.ndarray:
         result = softmax_attention(Q, K, V)
     else:
         result = nala_quadratic(Q, K, V, spec)
-    return result.row_entropy
+    return row_entropy_nats(result.weights)
 
 
 def attention_row_entropy(query, K, spec: KernelSpec | None) -> float:

@@ -18,6 +18,7 @@ from nala.attention import (
     nala_linear,
     nala_quadratic,
     random_block_params,
+    row_entropy_nats,
     silu,
     softmax_attention,
 )
@@ -56,7 +57,7 @@ class TestSoftmaxAttention:
         Q, K, V = rng.standard_normal((3, 1, 4))
         r = softmax_attention(Q[:1], K, V)
         np.testing.assert_array_equal(r.output, V)
-        assert r.row_entropy[0] == 0.0
+        assert row_entropy_nats(r.weights)[0] == 0.0
 
     def test_identical_keys_give_uniform_weights(self):
         rng = make_rng(1)
@@ -67,7 +68,7 @@ class TestSoftmaxAttention:
         r = softmax_attention(Q, K, V)
         np.testing.assert_allclose(r.weights, 1.0 / n, atol=1e-14)
         np.testing.assert_allclose(r.output, np.tile(V.mean(0), (n, 1)), atol=1e-13)
-        np.testing.assert_allclose(r.row_entropy, math.log(n), atol=1e-12)
+        np.testing.assert_allclose(row_entropy_nats(r.weights), math.log(n), atol=1e-12)
 
     def test_matches_naive_two_loop_oracle(self):
         rng = make_rng(2)
@@ -172,7 +173,7 @@ class TestLinearEvaluator:
         rng = make_rng(11)
         Q = rng.standard_normal((4, 4))
         r = nala_linear(Q, Q, Q, KernelSpec())
-        assert r.weights is None and r.row_entropy is None
+        assert r.weights is None
 
     def test_permutation_equivariance(self):
         rng = make_rng(12)

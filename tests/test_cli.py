@@ -2,6 +2,8 @@
 
 import collections
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +127,12 @@ class TestGradCheck:
         code, _ = run(tmp_path, "grad-check", "--kernel", "relu")
         assert code == 2
 
+    def test_no_admissible_point_is_a_named_error(self, tmp_path, capsys):
+        # at d=2000 every Gaussian query direction has an entry below the floor
+        code, _ = run(tmp_path, "grad-check", "--d", "2000", name="report.txt")
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "d=2000" in err and "0.001" in err
+
 
 class TestBench:
     def test_small_sweep_schema(self, tmp_path):
@@ -164,3 +172,12 @@ class TestVerifyTheorems:
         _, a = run(tmp_path, "verify-theorems", name="a.txt")
         _, b = run(tmp_path, "verify-theorems", name="b.txt")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_trig_block_line_skips_underflowed_magnitudes(self, tmp_path):
+        # at lambda 70 some |u_i|**lambda are subnormal or zero: no nan, no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, out = run(tmp_path, "verify-theorems", "--lambda", "70", name="r.txt")
+        (line,) = [x for x in out.read_text().splitlines() if "trig-block" in x]
+        assert "nan" not in line and line.startswith("PASS")
+        assert re.search(r", [1-9]\d* magnitudes below the float64 normal range skipped$", line)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nala import entropy, kernels
+from nala import checks, entropy, kernels
 from nala.entropy import (
     EntropyScanRecord,
     attention_row_entropy,
@@ -329,11 +329,8 @@ class TestConcavityProbe:
         assert out[0] == pytest.approx(0.0039411, rel=1e-3)
 
     def test_nondominant_coordinates_concave_on_random_rows(self):
-        rng = make_rng(12)
-        for _ in range(50):
-            x = rng.uniform(0.2, 1.2, size=12)
-            for m in range(12):
-                assert concavity_probe(x, m, [1e-4])[0] <= 1e-8
+        result = checks.entropy_concavity(make_rng(12))
+        assert result.passed and result.bound == 1e-8, result.detail
 
     def test_analytic_sign_term_nonpositive(self):
         # 1 - s / x_m <= 0 for every coordinate, since x_m <= s

@@ -3,30 +3,19 @@
 import numpy as np
 import pytest
 
+from nala.checks import _admissible_point
 from nala.errors import NearSingular
-from nala.gradcheck import (
-    SINGULAR_FLOOR,
-    finite_diff_jacobian,
-    jac_phi_k,
-    jac_phi_q,
-    max_rel_error,
-)
+from nala.gradcheck import finite_diff_jacobian, jac_phi_k, jac_phi_q, max_rel_error
 from nala.kernels import KernelSpec, phi_k, phi_q
 from nala.linalg import make_rng
 
 
 def admissible_query(rng, d):
-    while True:
-        q = rng.standard_normal(d)
-        if np.all(np.abs(q / np.linalg.norm(q)) >= SINGULAR_FLOOR):
-            return q
+    return _admissible_point(rng, d, direction=True)
 
 
 def admissible_key(rng, d):
-    while True:
-        k = rng.standard_normal(d)
-        if np.all(np.abs(k) >= SINGULAR_FLOOR):
-            return k
+    return _admissible_point(rng, d, direction=False)
 
 
 class TestFiniteDiffHarness:

@@ -1,24 +1,26 @@
-"""The benchmark's tracer wraps nala functions by name; a renamed or deleted
-target would only surface as a failing ``--trace 1`` run.  This test loads
-``perfbench/tracing.py`` by path (the benchmark is not a package) and checks
-that every target still resolves."""
+"""The benchmark names nala functions and `verify-theorems` lines; a rename
+would only surface as a failing benchmark run.  These tests load
+``perfbench/`` files by path (the benchmark is not a package) and check
+that every traced function and every allowed FAIL line still resolves."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from nala.cli import parse_and_dispatch
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_trace_target_resolves_on_nala():
-    targets = _load_tracing().TARGETS
+    targets = _load("tracing").TARGETS
     assert targets
     missing = [
         f"{module_name}.{attr}"
@@ -26,3 +28,11 @@ def test_every_trace_target_resolves_on_nala():
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert not missing, f"tracer targets missing from nala: {missing}"
+
+
+def test_certify_known_fail_matches_exactly_the_homogeneous_kernel_lines(capsys):
+    known = _load("workloads").Certify.KNOWN_FAIL
+    assert parse_and_dispatch(["verify-theorems", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    matching = [line.split()[1] for line in lines if known in line]
+    assert matching == ["relu", "fixed_power"], lines
