@@ -1,9 +1,8 @@
 """Certifying the analytic feature-map Jacobians with finite differences."""
 
-import numpy as np
-
 from nala import KernelSpec, finite_diff_jacobian, jac_phi_k, jac_phi_q, phi_k, phi_q
-from nala.gradcheck import SINGULAR_FLOOR, max_rel_error
+from nala.checks import _admissible_point
+from nala.gradcheck import max_rel_error
 from nala.linalg import make_rng
 
 rng = make_rng(4)
@@ -11,18 +10,11 @@ spec = KernelSpec(lam=2.0)
 d = 8
 
 
-def admissible(check):
-    while True:
-        x = rng.standard_normal(d)
-        if check(x):
-            return x
-
-
 print("query map (2d x d Jacobian through norm, direction, exponent, angles):")
 for step in (1e-4, 1e-5):
     errs = []
     for _ in range(10):
-        q = admissible(lambda x: np.all(np.abs(x / np.linalg.norm(x)) >= SINGULAR_FLOOR))
+        q = _admissible_point(rng, d, direction=True)
         fd = finite_diff_jacobian(lambda v: phi_q(v, spec), q, step_scale=step)
         errs.append(max_rel_error(jac_phi_q(q, spec), fd))
     print(f"  step {step:.0e}: max rel error over 10 points = {max(errs):.3e}")
@@ -31,7 +23,7 @@ print("\nkey map (diagonal power path plus shared angle path):")
 for step in (1e-4, 1e-5):
     errs = []
     for _ in range(10):
-        k = admissible(lambda x: np.all(np.abs(x) >= SINGULAR_FLOOR))
+        k = _admissible_point(rng, d, direction=False)
         fd = finite_diff_jacobian(lambda v: phi_k(v, spec), k, step_scale=step)
         errs.append(max_rel_error(jac_phi_k(k, spec), fd))
     print(f"  step {step:.0e}: max rel error over 10 points = {max(errs):.3e}")

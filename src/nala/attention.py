@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, xlogy
 
-from .errors import DimensionMismatch, ZeroVector
-from .kernels import KernelKind, KernelSpec, feature_maps
+from .errors import DimensionMismatch
+from .kernels import KernelSpec, feature_maps
 from .linalg import as_matrix
 
 #: Added to every normalization denominator so an all-zero similarity row
@@ -50,6 +50,7 @@ def _check_qkv(Q, K, V):
 
 
 _GRAM_BLOCK = 1024
+_ENTROPY_BLOCK = 2048
 
 #: Rows per chunk of the causal evaluator.  C=1 is the per-token recurrence
 #: and C=N the masked quadratic form.  Of C = 16..256, 64 was the fastest at
@@ -72,15 +73,15 @@ def _gram_matrix(A, B):
     return out
 
 
-def row_entropy_nats(weights: np.ndarray, block: int = 2048) -> np.ndarray:
+def row_entropy_nats(weights: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row in nats, with the 0*log(0) = 0 convention.
 
     Blocked so large weight matrices never need a same-sized temporary.
     """
     out = np.empty(weights.shape[0])
-    for i in range(0, weights.shape[0], block):
-        w = weights[i : i + block]
-        out[i : i + block] = -xlogy(w, w).sum(axis=1)
+    for i in range(0, weights.shape[0], _ENTROPY_BLOCK):
+        w = weights[i : i + _ENTROPY_BLOCK]
+        out[i : i + _ENTROPY_BLOCK] = -xlogy(w, w).sum(axis=1)
     return out
 
 
@@ -210,19 +211,21 @@ class BlockParams:
         return self.w_q.shape[0]
 
 
-def random_block_params(
-    rng: np.random.Generator, dim: int, heads: int, std: float = 0.02, ffn_mult: int = 4
-) -> BlockParams:
-    """Gaussian(0, std) weights, unit gains, zero biases."""
-    sq = lambda: std * rng.standard_normal((dim, dim))  # noqa: E731
+_INIT_STD = 0.02  # weight scale of random_block_params
+_FFN_MULT = 4  # feed-forward width over model width
+
+
+def random_block_params(rng: np.random.Generator, dim: int, heads: int) -> BlockParams:
+    """Gaussian(0, _INIT_STD) weights, unit gains, zero biases."""
+    sq = lambda: _INIT_STD * rng.standard_normal((dim, dim))  # noqa: E731
     return BlockParams(
         w_q=sq(),
         w_k=sq(),
         w_v=sq(),
         w_g=sq(),
         w_o=sq(),
-        ffn_w1=std * rng.standard_normal((dim, ffn_mult * dim)),
-        ffn_w2=std * rng.standard_normal((ffn_mult * dim, dim)),
+        ffn_w1=_INIT_STD * rng.standard_normal((dim, _FFN_MULT * dim)),
+        ffn_w2=_INIT_STD * rng.standard_normal((_FFN_MULT * dim, dim)),
         ln1_gain=np.ones(dim),
         ln1_bias=np.zeros(dim),
         ln2_gain=np.ones(dim),
@@ -258,10 +261,6 @@ def block_forward(X, params: BlockParams, spec: KernelSpec, causal: bool = False
         # and the block reduces to the identity when w_o/ffn are zero too.
         attn = np.zeros_like(X)
     else:
-        if spec.kind is KernelKind.NALA and (
-            not np.abs(Q).sum(axis=1).all() or not np.abs(K).sum(axis=1).all()
-        ):
-            raise ZeroVector("a projected query/key row is exactly zero")
         evaluate = nala_causal_recurrent if causal else nala_linear
         attn = np.concatenate(
             [

@@ -30,7 +30,7 @@ from .entropy import EntropyScanRecord, SOFTMAX_ID, norm_entropy_experiment
 from .kernels import KernelKind, KernelSpec
 from .linalg import make_rng
 
-KERNEL_CHOICES = [k.value for k in KernelKind] + [SOFTMAX_ID]
+KERNEL_CHOICES = [k.value for k in KernelKind]
 
 EQUIV_TOL = 1e-10
 
@@ -56,16 +56,12 @@ def _format(value) -> str:
     return str(value)
 
 
-def write_csv(records, path: str | None, record_type=None) -> None:
+def write_csv(records, path: str | None, record_type) -> None:
     """Write dataclass records as CSV: snake_case header, 9-digit floats, LF.
 
-    record_type supplies the schema when records may be empty.  path None
-    writes to stdout.
+    record_type supplies the schema, so an empty list still gets its header.
+    path None writes to stdout.
     """
-    if record_type is None:
-        if not records:
-            raise ValueError("empty record list needs an explicit record_type")
-        record_type = type(records[0])
     fields = dataclasses.fields(record_type)
     header = ",".join(f.metadata.get("csv", f.name) for f in fields)
     lines = [header]
@@ -106,10 +102,6 @@ def _spec(args) -> KernelSpec:
     return KernelSpec(kind=KernelKind(args.kernel), lam=args.lam)
 
 
-def _spec_nala(args) -> KernelSpec:
-    return KernelSpec(kind=KernelKind.NALA, lam=args.lam)
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -128,10 +120,10 @@ def cmd_entropy_scan(args) -> int:
     return 0
 
 
-def cmd_equiv_check(args, instances: int = 10) -> int:
+def cmd_equiv_check(args) -> int:
     records = []
     spec = _spec(args)
-    for i in range(instances):
+    for i in range(10):
         rng = make_rng(args.seed + i)
         Q = rng.standard_normal((args.n, args.d))
         K = rng.standard_normal((args.n, args.d))
@@ -147,10 +139,8 @@ def cmd_equiv_check(args, instances: int = 10) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    if args.kernel != KernelKind.NALA.value:
-        print("grad-check applies to the nala kernel only", file=sys.stderr)
-        return 2
-    return _render_checks(jacobians(make_rng(args.seed), args.d, _spec_nala(args)), args.out)
+    results = jacobians(make_rng(args.seed), args.d, KernelSpec(lam=args.lam))
+    return _render_checks(results, args.out)
 
 
 def cmd_bench(args) -> int:
@@ -183,7 +173,7 @@ def cmd_block_demo(args) -> int:
 
 def cmd_verify_theorems(args) -> int:
     rng = make_rng(args.seed)
-    spec = _spec_nala(args)
+    spec = KernelSpec(lam=args.lam)
     results = [
         exp_entropy_threshold(rng),
         *scale_invariance_split(rng, args.n, args.d, args.lam),
@@ -195,58 +185,6 @@ def cmd_verify_theorems(args) -> int:
 
 
 # --- parser ----------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nala", description="norm-aware linear attention toolkit"
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--n", type=_positive_int, default=128)
-        p.add_argument("--d", type=_positive_int, default=16)
-        p.add_argument("--heads", type=_positive_int, default=4)
-        p.add_argument("--lambda", dest="lam", type=_positive_float, default=2.0)
-        p.add_argument("--kernel", choices=KERNEL_CHOICES, default="nala")
-        p.add_argument("--causal", action="store_true")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--c-min", type=_positive_float, default=0.25)
-        p.add_argument("--c-max", type=_positive_float, default=16.0)
-        p.add_argument("--c-steps", type=_positive_int, default=32)
-
-    p = sub.add_parser("entropy-scan", help="entropy-vs-query-norm sweep as CSV")
-    common(p)
-    p.add_argument("--n-dirs", type=_positive_int, default=64)
-    p.set_defaults(run=cmd_entropy_scan)
-
-    p = sub.add_parser("equiv-check", help="quadratic vs re-associated evaluator deviation")
-    common(p)
-    p.set_defaults(run=cmd_equiv_check)
-
-    p = sub.add_parser("grad-check", help="analytic vs finite-difference Jacobians")
-    common(p)
-    p.set_defaults(run=cmd_grad_check)
-
-    p = sub.add_parser("bench", help="wall-clock scaling sweep as CSV")
-    common(p)
-    p.add_argument("--n-grid", default="1024,2048,4096,8192,16384")
-    p.add_argument("--evaluators", default=None,
-                   help=f"comma list from {','.join(EVALUATORS)}")
-    p.add_argument("--reps", type=_positive_int, default=5)
-    p.add_argument("--quad-cap", type=_positive_int, default=DEFAULT_QUAD_CAP)
-    p.set_defaults(run=cmd_bench)
-
-    p = sub.add_parser("block-demo", help="gated block forward pass as CSV")
-    common(p)
-    p.set_defaults(run=cmd_block_demo)
-
-    p = sub.add_parser("verify-theorems", help="PASS/FAIL battery of the core properties")
-    common(p)
-    p.set_defaults(run=cmd_verify_theorems)
-
-    return parser
 
 
 def _positive_int(text: str) -> int:
@@ -261,6 +199,57 @@ def _positive_float(text: str) -> float:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
     return value
+
+
+#: Every flag, by name; each subcommand takes the ones it reads.
+_FLAGS = {
+    "seed": dict(type=int, default=7),
+    "n": dict(type=_positive_int, default=128),
+    "d": dict(type=_positive_int, default=16),
+    "heads": dict(type=_positive_int, default=4),
+    "lambda": dict(dest="lam", type=_positive_float, default=2.0),
+    "kernel": dict(choices=KERNEL_CHOICES, default="nala"),
+    "causal": dict(action="store_true"),
+    "c-min": dict(type=_positive_float, default=0.25),
+    "c-max": dict(type=_positive_float, default=16.0),
+    "c-steps": dict(type=_positive_int, default=32),
+    "n-dirs": dict(type=_positive_int, default=64),
+    "n-grid": dict(default="1024,2048,4096,8192,16384"),
+    "evaluators": dict(default=None, help=f"comma list from {','.join(EVALUATORS)}"),
+    "reps": dict(type=_positive_int, default=5),
+    "quad-cap": dict(type=_positive_int, default=DEFAULT_QUAD_CAP),
+    "out": dict(default=None, help="output file (default stdout)"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nala", description="norm-aware linear attention toolkit"
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add(name, run, help, flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(run=run)
+        return p
+
+    p = add("entropy-scan", cmd_entropy_scan, "entropy-vs-query-norm sweep as CSV",
+            "seed n d lambda c-min c-max c-steps n-dirs out")
+    # softmax has no feature map, so only the entropy scan can take it
+    p.add_argument("--kernel", choices=[*KERNEL_CHOICES, SOFTMAX_ID], default="nala")
+    add("equiv-check", cmd_equiv_check, "quadratic vs re-associated evaluator deviation",
+        "seed n d lambda kernel out")
+    add("grad-check", cmd_grad_check, "analytic vs finite-difference Jacobians",
+        "seed d lambda out")
+    add("bench", cmd_bench, "wall-clock scaling sweep as CSV",
+        "seed d lambda kernel n-grid evaluators reps quad-cap out")
+    add("block-demo", cmd_block_demo, "gated block forward pass as CSV",
+        "seed n d heads lambda kernel causal out")
+    add("verify-theorems", cmd_verify_theorems, "PASS/FAIL battery of the core properties",
+        "seed n d lambda out")
+    return parser
 
 
 def parse_and_dispatch(argv) -> int:

@@ -50,6 +50,10 @@ class KernelKind(str, enum.Enum):
 #: weights cannot depend on the input's scale.
 HOMOGENEOUS_KINDS = frozenset({KernelKind.RELU, KernelKind.FIXED_POWER})
 
+#: Guards the query power against vanishing direction entries: magnitudes
+#: below it map to exactly zero.
+MAG_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -58,15 +62,12 @@ class KernelSpec:
     lambda controls both the key exponent and the range of the query
     exponent p(n) in [0.5*lambda, 1.5*lambda).  squash_scale is the angle
     bound of the sign encoding; it must not exceed pi/4 or the per-
-    coordinate cosine factors could turn negative.  mag_floor guards the
-    query power against vanishing direction entries: magnitudes below it
-    map to exactly zero.
+    coordinate cosine factors could turn negative.
     """
 
     kind: KernelKind = KernelKind.NALA
     lam: float = 2.0
     squash_scale: float = math.pi / 4
-    mag_floor: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "kind", KernelKind(self.kind))
@@ -76,8 +77,6 @@ class KernelSpec:
             raise ValueError(
                 f"squash_scale must lie in (0, pi/4], got {self.squash_scale}"
             )
-        if self.mag_floor < 0:
-            raise ValueError(f"mag_floor must be nonnegative, got {self.mag_floor}")
 
 
 def power_exponent(norm, spec: KernelSpec):
@@ -143,7 +142,7 @@ def _phi_q_into(x, spec: KernelSpec, out):
     half_angles = np.tanh(u)
     half_angles *= 0.5 * spec.squash_scale
     m = np.abs(u, out=u)  # direction no longer needed past this point
-    np.copyto(m, 0.0, where=m < spec.mag_floor)
+    np.copyto(m, 0.0, where=m < MAG_FLOOR)
     np.power(m, p, out=m)
     return _fill_trig_blocks(out, d, m, half_angles)
 
@@ -174,7 +173,7 @@ def phi_q(q, spec: KernelSpec) -> np.ndarray:
     """Norm-aware query feature map; input (..., d) -> output (..., 2d).
 
     With (n, u) the norm-direction split of a query row, the magnitude of
-    coordinate i is |u_i| ** p(n) (zero when |u_i| falls below the floor),
+    coordinate i is |u_i| ** p(n) (zero when |u_i| < MAG_FLOOR),
     and its angle is the squashed direction entry.
     """
     if spec.kind is not KernelKind.NALA:

@@ -8,7 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from nala.cli import BlockDemoRecord, EquivRecord, max_rel_dev, parse_and_dispatch, write_csv
+from nala.cli import (
+    BlockDemoRecord,
+    EquivRecord,
+    build_parser,
+    max_rel_dev,
+    parse_and_dispatch,
+    write_csv,
+)
 from nala.entropy import EntropyScanRecord
 
 
@@ -26,32 +33,32 @@ class TestWriteCsv:
 
     def test_schema_and_formatting(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_csv([EntropyScanRecord("nala", 0.25, 1.0 / 3.0, 4)], str(path))
+        write_csv([EntropyScanRecord("nala", 0.25, 1.0 / 3.0, 4)], str(path), EntropyScanRecord)
         lines = path.read_text().splitlines()
         assert lines[0] == "kernel_id,query_norm,entropy,direction_id"
         assert lines[1] == "nala,0.25,0.333333333,4"
 
     def test_lambda_column_rename(self, tmp_path):
         path = tmp_path / "e.csv"
-        write_csv([EquivRecord(8, 4, 2.0, 1e-15)], str(path))
+        write_csv([EquivRecord(8, 4, 2.0, 1e-15)], str(path), EquivRecord)
         assert path.read_text().splitlines()[0] == "n,d,lambda,max_rel_dev"
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         records = [BlockDemoRecord(0, 0, math.pi), BlockDemoRecord(0, 1, -1e-9)]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(records, str(a))
-        write_csv(records, str(b))
+        write_csv(records, str(a), BlockDemoRecord)
+        write_csv(records, str(b), BlockDemoRecord)
         assert a.read_bytes() == b.read_bytes()
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "lf.csv"
-        write_csv([BlockDemoRecord(0, 0, 1.0)], str(path))
+        write_csv([BlockDemoRecord(0, 0, 1.0)], str(path), BlockDemoRecord)
         raw = path.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
 
     def test_unwritable_path_reports_context(self):
         with pytest.raises(OSError, match="no/such/dir"):
-            write_csv([BlockDemoRecord(0, 0, 1.0)], "no/such/dir/x.csv")
+            write_csv([BlockDemoRecord(0, 0, 1.0)], "no/such/dir/x.csv", BlockDemoRecord)
 
 
 class TestMaxRelDev:
@@ -59,6 +66,48 @@ class TestMaxRelDev:
         a = np.array([0.0, 1.0])
         b = np.array([1e-12, 1.0 + 1e-6])
         assert max_rel_dev(a, b) == pytest.approx(1e-6, rel=1e-3)
+
+
+class _ReadRecorder:
+    """Stands in for the parsed flags and records every attribute read."""
+
+    def __init__(self, args):
+        self.args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.args, name)
+
+
+SMALL_ARGV = {
+    "entropy-scan": ["--n", "16", "--d", "4", "--n-dirs", "2", "--c-steps", "4"],
+    "equiv-check": ["--n", "16", "--d", "4"],
+    "grad-check": ["--d", "4"],
+    "bench": ["--n-grid", "32,64", "--reps", "1", "--d", "4", "--evaluators", "nala_linear"],
+    "block-demo": ["--n", "4", "--d", "8", "--heads", "2"],
+    "verify-theorems": ["--n", "16", "--d", "4"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("subcommand", SMALL_ARGV)
+    def test_every_accepted_flag_is_read(self, subcommand, tmp_path):
+        argv = [subcommand, *SMALL_ARGV[subcommand], "--out", str(tmp_path / "out")]
+        args = build_parser().parse_args(argv)
+        recorder = _ReadRecorder(args)
+        args.run(recorder)
+        assert recorder.read == set(vars(args)) - {"subcommand", "run"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-theorems", "--kernel", "relu"], "unrecognized arguments: --kernel relu"),
+        (["equiv-check", "--causal"], "unrecognized arguments: --causal"),
+        (["grad-check", "--n", "64"], "unrecognized arguments: --n 64"),
+        (["grad-check", "--kernel", "nala"], "unrecognized arguments: --kernel nala"),
+        (["block-demo", "--kernel", "softmax"], "invalid choice: 'softmax'"),
+    ])
+    def test_flag_a_subcommand_does_not_read_is_usage_error(self, argv, message, capsys):
+        assert parse_and_dispatch(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestExitCodes:
