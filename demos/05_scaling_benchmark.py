@@ -15,7 +15,6 @@ records, slopes = run_scaling_sweep(
     d=32,
     spec=KernelSpec(lam=2.0),
     reps=3,
-    warmups=1,
 )
 
 print(f"{'evaluator':>22s} {'N':>6s} {'median wall':>12s} {'checksum':>14s}")

@@ -29,7 +29,7 @@ from .errors import (
     WrongKernel,
     ZeroVector,
 )
-from .gradcheck import Jacobian, finite_diff_jacobian, jac_phi_k, jac_phi_q
+from .gradcheck import finite_diff_jacobian, jac_phi_k, jac_phi_q
 from .kernels import (
     KernelKind,
     KernelSpec,

@@ -49,9 +49,6 @@ def _check_qkv(Q, K, V):
     return Q, K, V
 
 
-_GRAM_BLOCK = 1024
-_ENTROPY_BLOCK = 2048
-
 #: Rows per chunk of the causal evaluator.  C=1 is the per-token recurrence
 #: and C=N the masked quadratic form.  Of C = 16..256, 64 was the fastest at
 #: N=4096, d=32 and within 10% of the fastest (32) at N=512, d=64: smaller
@@ -60,39 +57,19 @@ _ENTROPY_BLOCK = 2048
 _CAUSAL_CHUNK = 64
 
 
-def _gram_matrix(A, B):
-    """A @ B.T in row blocks into preallocated storage.
-
-    Same product; writing a multi-GB fresh output inside one gemm call is
-    page-fault bound, so large instances go row-block by row-block.
-    """
-    out = np.empty((A.shape[0], B.shape[0]))
-    bt = np.ascontiguousarray(B.T)
-    for i in range(0, A.shape[0], _GRAM_BLOCK):
-        np.matmul(A[i : i + _GRAM_BLOCK], bt, out=out[i : i + _GRAM_BLOCK])
-    return out
-
-
 def row_entropy_nats(weights: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row in nats, with the 0*log(0) = 0 convention.
 
-    Blocked so large weight matrices never need a same-sized temporary.
+    Takes one temporary the size of weights.
     """
-    out = np.empty(weights.shape[0])
-    for i in range(0, weights.shape[0], _ENTROPY_BLOCK):
-        w = weights[i : i + _ENTROPY_BLOCK]
-        out[i : i + _ENTROPY_BLOCK] = -xlogy(w, w).sum(axis=1)
-    return out
+    return -xlogy(weights, weights).sum(axis=1)
 
 
-def softmax_attention(Q, K, V, causal: bool = False) -> AttentionResult:
+def softmax_attention(Q, K, V) -> AttentionResult:
     """Scaled dot-product attention with max-shifted softmax rows."""
     Q, K, V = _check_qkv(Q, K, V)
-    n_q, d = Q.shape
-    logits = _gram_matrix(Q, K)
-    logits /= np.sqrt(d)  # in place: the N x N array is the memory budget
-    if causal:
-        logits[~np.tri(n_q, K.shape[0], dtype=bool)] = -np.inf
+    logits = Q @ K.T
+    logits /= np.sqrt(Q.shape[1])  # in place: the N x N array is the memory budget
     logits -= logits.max(axis=1, keepdims=True)
     weights = np.exp(logits, out=logits)
     weights /= weights.sum(axis=1, keepdims=True)
@@ -108,7 +85,7 @@ def nala_quadratic(Q, K, V, spec: KernelSpec, causal: bool = False) -> Attention
     """
     Q, K, V = _check_qkv(Q, K, V)
     map_q, map_k = feature_maps(spec)
-    sims = _gram_matrix(map_q(Q), map_k(K))
+    sims = map_q(Q) @ map_k(K).T
     if causal:
         sims[~np.tri(Q.shape[0], K.shape[0], dtype=bool)] = 0.0
     weights = np.divide(sims, sims.sum(axis=1, keepdims=True) + DENOM_EPS, out=sims)
@@ -234,11 +211,6 @@ def random_block_params(rng: np.random.Generator, dim: int, heads: int) -> Block
     )
 
 
-def _heads(m: np.ndarray, heads: int):
-    width = m.shape[1] // heads
-    return [m[:, h * width : (h + 1) * width] for h in range(heads)]
-
-
 def block_forward(X, params: BlockParams, spec: KernelSpec, causal: bool = False) -> np.ndarray:
     """Forward pass of the gated attention block.
 
@@ -266,9 +238,9 @@ def block_forward(X, params: BlockParams, spec: KernelSpec, causal: bool = False
             [
                 evaluate(qh, kh, vh, spec).output
                 for qh, kh, vh in zip(
-                    _heads(Q, params.heads),
-                    _heads(K, params.heads),
-                    _heads(V, params.heads),
+                    np.split(Q, params.heads, axis=1),
+                    np.split(K, params.heads, axis=1),
+                    np.split(V, params.heads, axis=1),
                 )
             ],
             axis=1,

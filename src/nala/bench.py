@@ -2,11 +2,11 @@
 
 Times each evaluator on one shared random instance per sequence length,
 reports the median, minimum and interquartile range of several runs after
-warmups, and fits a log-log slope per evaluator to the medians.  The O(N^2)
-evaluators should fit a slope near 2, the re-associated and recurrent forms
-near 1.  Checksums (sum of output entries) are carried along both to
-defeat dead-code elimination and to confirm that the timed paths agree
-numerically.
+_WARMUPS untimed ones, and fits a log-log slope per evaluator to the
+medians.  The O(N^2) evaluators should fit a slope near 2, the
+re-associated and recurrent forms near 1.  Checksums (sum of output
+entries) are carried along both to defeat dead-code elimination and to
+confirm that the timed paths agree numerically.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ EVALUATORS: dict[str, Callable] = {
 }
 
 _QUADRATIC_MEMORY = frozenset({"softmax", "nala_quadratic"})
+
+#: Untimed runs per (evaluator, N) before the timed ones, so first-call
+#: costs stay out of the timings.
+_WARMUPS = 2
 
 
 @dataclass
@@ -70,13 +74,12 @@ def run_scaling_sweep(
     spec: KernelSpec,
     evaluator_ids: Sequence[str] | None = None,
     reps: int = 5,
-    warmups: int = 2,
     quad_cap: int = DEFAULT_QUAD_CAP,
 ) -> tuple[list[BenchRecord], dict[str, float]]:
     """Time the evaluators over n_grid and fit per-evaluator log-log slopes.
 
     Each N gets one random (Q, K, V) instance shared by every evaluator.
-    wall_seconds is the median of `reps` timed runs after `warmups` unhinted
+    wall_seconds is the median of `reps` timed runs after _WARMUPS untimed
     runs, on a monotonic clock, with the runs' minimum and interquartile
     range next to it.  Quadratic-memory evaluators are skipped (recorded
     with nan) above quad_cap.  Returns the records plus a slope
@@ -101,7 +104,7 @@ def run_scaling_sweep(
                 continue
             fn = EVALUATORS[evaluator_id]
             checksum = 0.0
-            for _ in range(warmups):
+            for _ in range(_WARMUPS):
                 checksum = float(fn(Q, K, V, spec).output.sum())
             times = []
             for _ in range(reps):

@@ -7,7 +7,7 @@ assembled by the chain rule:
     du/dq = (I - u u^T) / n          with (n, u) the norm-direction split,
     dp/dq = lambda * sech^2(n) u^T,
     dm_i  = m_i [ p * d|u_i| / |u_i| + ln|u_i| * dp ],
-    da_i  = scale * sech^2(u_i) du_i,
+    da_i  = SQUASH_SCALE * sech^2(u_i) du_i,
 
 and the cos/sin blocks follow by the product rule.  The key map is the
 same on the angle side with a diagonal lambda |k_i|^(lambda-1) sign(k_i)
@@ -20,26 +20,18 @@ honest rather than silently smooth over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NearSingular
-from .kernels import KernelSpec, direction_squash, power_exponent
+from .kernels import SQUASH_SCALE, KernelSpec, direction_squash, power_exponent
 from .linalg import as_vector, nd_decompose
 
 #: Direction/key entries with magnitude below this are too near the |.|^p kink.
 SINGULAR_FLOOR = 1e-3
 
 
-@dataclass
-class Jacobian:
-    matrix: np.ndarray  # out_dim x in_dim
-    point: np.ndarray
-
-
-def finite_diff_jacobian(f, x, step_scale: float = 1e-5) -> Jacobian:
-    """Central-difference Jacobian, step h_j = step_scale * max(1, |x_j|)."""
+def finite_diff_jacobian(f, x, step_scale: float = 1e-5) -> np.ndarray:
+    """Central-difference (out_dim, d) Jacobian, step h_j = step_scale * max(1, |x_j|)."""
     x = as_vector(x)
     cols = []
     for j in range(x.size):
@@ -47,18 +39,18 @@ def finite_diff_jacobian(f, x, step_scale: float = 1e-5) -> Jacobian:
         e = np.zeros_like(x)
         e[j] = h
         cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
-    return Jacobian(np.stack(cols, axis=1), x)
+    return np.stack(cols, axis=1)
 
 
 def _sech2(x):
     return 1.0 / np.cosh(x) ** 2
 
 
-def _angle_path(u, n, scale):
+def _angle_path(u, n):
     """Angles, their u-derivatives, and du/dq for a unit direction u = q/n."""
     du = (np.eye(u.size) - np.outer(u, u)) / n
-    a = direction_squash(u, scale)
-    da = (scale * _sech2(u))[:, None] * du
+    a = direction_squash(u)
+    da = (SQUASH_SCALE * _sech2(u))[:, None] * du
     return a, da, du
 
 
@@ -68,7 +60,7 @@ def _assemble(m, dm, a, da):
     return np.vstack([top, bottom])
 
 
-def jac_phi_q(q, spec: KernelSpec) -> Jacobian:
+def jac_phi_q(q, spec: KernelSpec) -> np.ndarray:
     """Analytic 2d x d Jacobian of the query feature map at q."""
     q = as_vector(q)
     n, u = nd_decompose(q)
@@ -79,27 +71,26 @@ def jac_phi_q(q, spec: KernelSpec) -> Jacobian:
         )
     p = float(power_exponent(n, spec))
     dp = spec.lam * _sech2(n) * u  # row: dp/dq_j
-    a, da, du = _angle_path(u, n, spec.squash_scale)
+    a, da, du = _angle_path(u, n)
     m = au**p
     dm = m[:, None] * (
         np.log(au)[:, None] * dp[None, :] + (p * np.sign(u) / au)[:, None] * du
     )
-    return Jacobian(_assemble(m, dm, a, da), q)
+    return _assemble(m, dm, a, da)
 
 
-def jac_phi_k(k, spec: KernelSpec) -> Jacobian:
+def jac_phi_k(k, spec: KernelSpec) -> np.ndarray:
     """Analytic 2d x d Jacobian of the key feature map at k."""
     k = as_vector(k)
     if np.any(np.abs(k) < SINGULAR_FLOOR):
         raise NearSingular(f"key entry below {SINGULAR_FLOOR}; resample the point")
     n, u = nd_decompose(k)
-    a, da, _ = _angle_path(u, n, spec.squash_scale)
+    a, da, _ = _angle_path(u, n)
     m = np.abs(k) ** spec.lam
     dm = np.diag(spec.lam * np.sign(k) * np.abs(k) ** (spec.lam - 1.0))
-    return Jacobian(_assemble(m, dm, a, da), k)
+    return _assemble(m, dm, a, da)
 
 
-def max_rel_error(analytic: Jacobian, fd: Jacobian) -> float:
-    """Max-norm difference relative to max(1, max-norm of the reference)."""
-    ref = np.abs(fd.matrix).max()
-    return float(np.abs(analytic.matrix - fd.matrix).max() / max(1.0, ref))
+def max_rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
+    """Max-norm difference relative to max(1, max-norm of the reference fd)."""
+    return float(np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()))

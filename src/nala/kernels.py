@@ -9,10 +9,11 @@ treats the two parts differently:
 * key magnitudes are the raw entries raised to the fixed power lambda, so
   key length survives the map;
 * signs are carried separately: each direction entry is squashed into
-  (-pi/4, pi/4) and encoded as a [cos; sin] pair, doubling the feature
-  dimension.  The product of two such features is, per coordinate, a
-  cosine of an angle difference in (-pi/2, pi/2) - strictly positive, and
-  smallest when the coordinates have opposite signs.
+  (-SQUASH_SCALE, SQUASH_SCALE) = (-pi/4, pi/4) and encoded as a
+  [cos; sin] pair, doubling the feature dimension.  The product of two
+  such features is, per coordinate, a cosine of an angle difference in
+  (-pi/2, pi/2) - strictly positive, and smallest when the coordinates
+  have opposite signs.
 
 The [m cos a; m sin a] pair is computed from the half-angle identity: with
 t = tan(a/2), cos a = (1 - t^2) / (1 + t^2) and sin a = 2t / (1 + t^2), so
@@ -54,29 +55,29 @@ HOMOGENEOUS_KINDS = frozenset({KernelKind.RELU, KernelKind.FIXED_POWER})
 #: below it map to exactly zero.
 MAG_FLOOR = 1e-12
 
+#: Angle bound of the sign encoding.  Two squashed angles in
+#: (-pi/4, pi/4) differ by less than pi/2, so every per-coordinate cosine
+#: factor of a query/key feature product is positive; a larger bound would
+#: let it turn negative.
+SQUASH_SCALE = math.pi / 4
+
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel identity plus hyperparameters.
+    """Kernel identity plus its one hyperparameter.
 
     lambda controls both the key exponent and the range of the query
-    exponent p(n) in [0.5*lambda, 1.5*lambda).  squash_scale is the angle
-    bound of the sign encoding; it must not exceed pi/4 or the per-
-    coordinate cosine factors could turn negative.
+    exponent p(n) in [0.5*lambda, 1.5*lambda).  The angle bound of the sign
+    encoding is the module constant SQUASH_SCALE.
     """
 
     kind: KernelKind = KernelKind.NALA
     lam: float = 2.0
-    squash_scale: float = math.pi / 4
 
     def __post_init__(self):
         object.__setattr__(self, "kind", KernelKind(self.kind))
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not 0.0 < self.squash_scale <= math.pi / 4:
-            raise ValueError(
-                f"squash_scale must lie in (0, pi/4], got {self.squash_scale}"
-            )
 
 
 def power_exponent(norm, spec: KernelSpec):
@@ -84,9 +85,9 @@ def power_exponent(norm, spec: KernelSpec):
     return spec.lam * (0.5 + np.tanh(norm))
 
 
-def direction_squash(u, scale: float = math.pi / 4):
-    """Odd, bounded squash scale * tanh(u) mapping R into (-scale, scale)."""
-    return scale * np.tanh(u)
+def direction_squash(u):
+    """Odd, bounded squash SQUASH_SCALE * tanh(u) mapping R into (-pi/4, pi/4)."""
+    return SQUASH_SCALE * np.tanh(u)
 
 
 def _norm_direction(x):
@@ -140,7 +141,7 @@ def _phi_q_into(x, spec: KernelSpec, out):
     p = power_exponent(norms, spec)
     d = u.shape[-1]
     half_angles = np.tanh(u)
-    half_angles *= 0.5 * spec.squash_scale
+    half_angles *= 0.5 * SQUASH_SCALE
     m = np.abs(u, out=u)  # direction no longer needed past this point
     np.copyto(m, 0.0, where=m < MAG_FLOOR)
     np.power(m, p, out=m)
@@ -151,7 +152,7 @@ def _phi_k_into(x, spec: KernelSpec, out):
     _, u = _norm_direction(x)
     d = u.shape[-1]
     half_angles = np.tanh(u, out=u)
-    half_angles *= 0.5 * spec.squash_scale
+    half_angles *= 0.5 * SQUASH_SCALE
     m = np.abs(x)
     np.power(m, spec.lam, out=m)
     return _fill_trig_blocks(out, d, m, half_angles)

@@ -25,13 +25,11 @@ class NDParts(NamedTuple):
     direction: np.ndarray
 
 
-def as_vector(x, d: int | None = None) -> np.ndarray:
-    """Coerce to a finite float64 vector, optionally checking its length."""
+def as_vector(x) -> np.ndarray:
+    """Coerce to a finite float64 vector."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
-    if d is not None and v.size != d:
-        raise DimensionMismatch(f"expected length {d}, got {v.size}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v

@@ -274,11 +274,11 @@ def test_criterion_10_wall_clock_scaling():
     spec = KernelSpec(lam=2.0)
     lin_records, lin_slopes = run_scaling_sweep(
         make_rng(10), grid, 32, spec, evaluator_ids=["nala_linear"],
-        reps=7, warmups=2,
+        reps=7,
     )
     quad_records, quad_slopes = run_scaling_sweep(
         make_rng(10), grid, 32, spec, evaluator_ids=["nala_quadratic"],
-        reps=5, warmups=2,
+        reps=5,
     )
     elapsed = time.perf_counter() - start
 

@@ -24,7 +24,7 @@ class TestScalingSweep:
         rng = make_rng(0)
         records, slopes = run_scaling_sweep(
             rng, [64, 128], 8, KernelSpec(lam=2.0),
-            evaluator_ids=["nala_quadratic", "nala_linear"], reps=2, warmups=1,
+            evaluator_ids=["nala_quadratic", "nala_linear"], reps=2,
         )
         assert len(records) == 4
         assert all(isinstance(r, BenchRecord) for r in records)
@@ -40,7 +40,7 @@ class TestScalingSweep:
         rng = make_rng(1)
         records, slopes = run_scaling_sweep(
             rng, [32, 64], 4, KernelSpec(),
-            evaluator_ids=["nala_quadratic", "nala_linear"], reps=1, warmups=0,
+            evaluator_ids=["nala_quadratic", "nala_linear"], reps=1,
             quad_cap=32,
         )
         skipped = [r for r in records if r.reps == 0]
@@ -64,14 +64,14 @@ class TestScalingSweep:
     def test_min_and_spread_around_the_median(self):
         records, _ = run_scaling_sweep(
             make_rng(5), [64, 128], 8, KernelSpec(),
-            evaluator_ids=["nala_linear"], reps=5, warmups=0,
+            evaluator_ids=["nala_linear"], reps=5,
         )
         for r in records:
             assert 0 < r.min_seconds <= r.wall_seconds
             assert r.iqr_seconds >= 0
         single, _ = run_scaling_sweep(
             make_rng(5), [64], 8, KernelSpec(),
-            evaluator_ids=["nala_linear"], reps=1, warmups=0,
+            evaluator_ids=["nala_linear"], reps=1,
         )
         assert single[0].min_seconds == single[0].wall_seconds
         assert single[0].iqr_seconds == 0.0
@@ -83,10 +83,10 @@ class TestScalingSweep:
     def test_same_seed_same_checksums(self):
         a, _ = run_scaling_sweep(
             make_rng(4), [64], 8, KernelSpec(),
-            evaluator_ids=["nala_linear"], reps=1, warmups=0,
+            evaluator_ids=["nala_linear"], reps=1,
         )
         b, _ = run_scaling_sweep(
             make_rng(4), [64], 8, KernelSpec(),
-            evaluator_ids=["nala_linear"], reps=1, warmups=0,
+            evaluator_ids=["nala_linear"], reps=1,
         )
         assert a[0].checksum == b[0].checksum

@@ -23,24 +23,24 @@ from nala.kernels import (
 from nala.linalg import make_rng
 
 
-def scalar_phi_q(q, lam, scale=math.pi / 4):
+def scalar_phi_q(q, lam):
     """Straight-line scalar transcription of the query map, as an oracle."""
     n = math.sqrt(sum(v * v for v in q))
     u = [v / n for v in q]
     p = lam * (0.5 + math.tanh(n))
     m = [abs(ui) ** p for ui in u]
-    a = [scale * math.tanh(ui) for ui in u]
+    a = [math.pi / 4 * math.tanh(ui) for ui in u]
     return [mi * math.cos(ai) for mi, ai in zip(m, a)] + [
         mi * math.sin(ai) for mi, ai in zip(m, a)
     ]
 
 
-def scalar_phi_k(k, lam, scale=math.pi / 4):
+def scalar_phi_k(k, lam):
     """Straight-line scalar transcription of the key map."""
     n = math.sqrt(sum(v * v for v in k))
     u = [v / n for v in k]
     m = [abs(ki) ** lam for ki in k]
-    a = [scale * math.tanh(ui) for ui in u]
+    a = [math.pi / 4 * math.tanh(ui) for ui in u]
     return [mi * math.cos(ai) for mi, ai in zip(m, a)] + [
         mi * math.sin(ai) for mi, ai in zip(m, a)
     ]
@@ -169,14 +169,14 @@ class TestPhiK:
         np.testing.assert_allclose(mag_a, mag_b, rtol=1e-14)
 
 
-def assert_matches_transcription(out, x, lam, scale=math.pi / 4, key=False):
+def assert_matches_transcription(out, x, lam, key=False):
     """Rowwise check against the scalar cos/sin transcription: rtol 1e-14 and
     atol 1e-14 times the row's largest entry."""
     oracle = scalar_phi_k if key else scalar_phi_q
     d = x.shape[-1]
     assert out.shape == x.shape[:-1] + (2 * d,)
     for row, got in zip(x.reshape(-1, d), out.reshape(-1, 2 * d)):
-        want = np.array(oracle(row.tolist(), lam, scale))
+        want = np.array(oracle(row.tolist(), lam))
         np.testing.assert_allclose(
             got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max()
         )
@@ -190,21 +190,17 @@ class TestMapAccuracy:
             st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=64
         ),
         lam=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
-        scale=st.one_of(
-            st.just(math.pi / 4),
-            st.floats(0.0, math.pi / 4, exclude_min=True, allow_subnormal=False),
-        ),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_scalar_transcription(self, row, lam, scale):
+    def test_matches_scalar_transcription(self, row, lam):
         x = np.array(row)
         n = math.sqrt(sum(v * v for v in row))
         # the transcriptions apply no MAG_FLOOR: keep direction entries
         # clear of it (or exactly zero, which both sides map to zero)
         assume(n > 0 and all(v == 0 or abs(v) / n >= 1e-11 for v in row))
-        spec = KernelSpec(lam=lam, squash_scale=scale)
-        assert_matches_transcription(phi_q(x, spec), x, lam, scale)
-        assert_matches_transcription(phi_k(x, spec), x, lam, scale, key=True)
+        spec = KernelSpec(lam=lam)
+        assert_matches_transcription(phi_q(x, spec), x, lam)
+        assert_matches_transcription(phi_k(x, spec), x, lam, key=True)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_both_sides_of_the_chunk_path(self, extra):
@@ -328,10 +324,6 @@ class TestKernelSpecValidation:
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
             KernelSpec(lam=0.0)
-
-    def test_squash_scale_bounded(self):
-        with pytest.raises(ValueError):
-            KernelSpec(squash_scale=math.pi / 3)
 
     def test_kind_accepts_strings(self):
         assert KernelSpec(kind="relu").kind is KernelKind.RELU
