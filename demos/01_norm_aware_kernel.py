@@ -7,14 +7,15 @@ comes out nonnegative.
 
 import numpy as np
 
-from nala import KernelSpec, nd_decompose, pairwise_similarity, phi_k, phi_q, power_exponent
+from nala import KernelSpec, pairwise_similarity, phi_k, phi_q, power_exponent
 from nala.linalg import make_rng
 
 spec = KernelSpec(lam=2.0)
 rng = make_rng(0)
 
 q = np.array([1.5, -0.5, 2.0, 0.25])
-norm, direction = nd_decompose(q)
+norm = np.linalg.norm(q)
+direction = q / norm
 print(f"query            : {q}")
 print(f"norm             : {norm:.6f}")
 print(f"direction        : {np.round(direction, 4)}  (unit length)")

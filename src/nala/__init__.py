@@ -40,6 +40,6 @@ from .kernels import (
     phi_q,
     power_exponent,
 )
-from .linalg import NDParts, make_rng, nd_decompose
+from .linalg import make_rng
 
 __version__ = "0.1.0"

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import concavity_probe, entropy_deviation_scan, prop2_invariance_check, theorem1_scan
-from .errors import NearSingular
-from .gradcheck import SINGULAR_FLOOR, finite_diff_jacobian, jac_phi_k, jac_phi_q, max_rel_error
+from .gradcheck import admissible_point, finite_diff_jacobian, jac_phi_k, jac_phi_q, max_rel_error
 from .kernels import KernelKind, KernelSpec, phi_k, phi_q
 
 #: Largest accepted relative Jacobian error; central differences carry ~1e-11.
@@ -107,26 +106,12 @@ def trig_block_norm(rng: np.random.Generator, d: int, spec: KernelSpec) -> Check
     return CheckResult(name, err <= 1e-12, err, 1e-12, detail)
 
 
-def _admissible_point(rng: np.random.Generator, d: int, direction: bool) -> np.ndarray:
-    """A Gaussian draw clear of the |.|^p kink, as jac_phi_q and jac_phi_k need.
-
-    Every entry (of the unit direction, when `direction`) is at least
-    SINGULAR_FLOOR in magnitude; NearSingular after 1000 failed draws.
-    """
-    for _ in range(1000):
-        x = rng.standard_normal(d)
-        if np.all(np.abs(x / np.linalg.norm(x) if direction else x) >= SINGULAR_FLOOR):
-            return x
-    raise NearSingular(f"no admissible point in 1000 Gaussian draws at d={d}: every draw had "
-                       f"an entry below SINGULAR_FLOOR = {SINGULAR_FLOOR:g} in magnitude")
-
-
 def jacobians(rng: np.random.Generator, d: int, spec: KernelSpec) -> list[CheckResult]:
     """Analytic phi_q and phi_k Jacobians against central differences at 50 admissible points."""
     worst = {"phi_q": 0.0, "phi_k": 0.0}
     for _ in range(50):
-        q = _admissible_point(rng, d, direction=True)
-        k = _admissible_point(rng, d, direction=False)
+        q = admissible_point(rng, d, direction=True)
+        k = admissible_point(rng, d, direction=False)
         fd_q = finite_diff_jacobian(lambda v: phi_q(v, spec), q)
         fd_k = finite_diff_jacobian(lambda v: phi_k(v, spec), k)
         worst["phi_q"] = max(worst["phi_q"], max_rel_error(jac_phi_q(q, spec), fd_q))

@@ -11,23 +11,48 @@ assembled by the chain rule:
 
 and the cos/sin blocks follow by the product rule.  The key map is the
 same on the angle side with a diagonal lambda |k_i|^(lambda-1) sign(k_i)
-magnitude path.
+magnitude path.  Both Jacobians differentiate the maps' own split,
+kernels._norm_direction.
 
-Points with direction entries too close to zero are rejected instead of
-clamped: |u|^p has a kink at zero and the analytic formula should stay
-honest rather than silently smooth over it.
+|u|^p has a kink at zero that a central difference must not straddle.  One
+rule, _near_kink, rejects points too close to it, in both Jacobians and in
+the sampler admissible_point, so the two cannot disagree about a point.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NearSingular
-from .kernels import SQUASH_SCALE, KernelSpec, direction_squash, power_exponent
-from .linalg import as_vector, nd_decompose
+from .kernels import SQUASH_SCALE, KernelSpec, _norm_direction, direction_squash, power_exponent
+from .linalg import as_vector
 
-#: Direction/key entries with magnitude below this are too near the |.|^p kink.
+#: Entries below this in magnitude are too near the |.|^p kink for a
+#: central difference of step 1e-5.
 SINGULAR_FLOOR = 1e-3
+
+
+def _kink_floor(d: int, direction: bool) -> float:
+    """SINGULAR_FLOOR, times min(1, 4/sqrt(d)) for query directions: their entries
+    and their central-difference steps both shrink like 1/sqrt(d)."""
+    return SINGULAR_FLOOR * (min(1.0, 4.0 / math.sqrt(d)) if direction else 1.0)
+
+
+def _near_kink(entries: np.ndarray, direction: bool) -> bool:
+    """True when an entry (of a query direction, when `direction`) lies below its floor."""
+    return bool(np.any(np.abs(entries) < _kink_floor(entries.size, direction)))
+
+
+def admissible_point(rng: np.random.Generator, d: int, direction: bool) -> np.ndarray:
+    """A Gaussian draw jac_phi_q (`direction`) or jac_phi_k accepts; NearSingular after 1000."""
+    for _ in range(1000):
+        x = rng.standard_normal(d)
+        if not _near_kink(_norm_direction(x)[1] if direction else x, direction):
+            return x
+    raise NearSingular(f"no admissible point in 1000 Gaussian draws at d={d}: every draw had "
+                       f"an entry below {_kink_floor(d, direction):g} in magnitude")
 
 
 def finite_diff_jacobian(f, x, step_scale: float = 1e-5) -> np.ndarray:
@@ -62,13 +87,11 @@ def _assemble(m, dm, a, da):
 
 def jac_phi_q(q, spec: KernelSpec) -> np.ndarray:
     """Analytic 2d x d Jacobian of the query feature map at q."""
-    q = as_vector(q)
-    n, u = nd_decompose(q)
+    norms, u = _norm_direction(as_vector(q))
+    if _near_kink(u, direction=True):
+        raise NearSingular(f"direction entry below {_kink_floor(u.size, True):g}; resample")
+    n = norms[0]
     au = np.abs(u)
-    if np.any(au < SINGULAR_FLOOR):
-        raise NearSingular(
-            f"direction entry below {SINGULAR_FLOOR}; resample the point"
-        )
     p = float(power_exponent(n, spec))
     dp = spec.lam * _sech2(n) * u  # row: dp/dq_j
     a, da, du = _angle_path(u, n)
@@ -82,10 +105,10 @@ def jac_phi_q(q, spec: KernelSpec) -> np.ndarray:
 def jac_phi_k(k, spec: KernelSpec) -> np.ndarray:
     """Analytic 2d x d Jacobian of the key feature map at k."""
     k = as_vector(k)
-    if np.any(np.abs(k) < SINGULAR_FLOOR):
-        raise NearSingular(f"key entry below {SINGULAR_FLOOR}; resample the point")
-    n, u = nd_decompose(k)
-    a, da, _ = _angle_path(u, n)
+    if _near_kink(k, direction=False):
+        raise NearSingular(f"key entry below {SINGULAR_FLOOR:g}; resample the point")
+    norms, u = _norm_direction(k)
+    a, da, _ = _angle_path(u, norms[0])
     m = np.abs(k) ** spec.lam
     dm = np.diag(spec.lam * np.sign(k) * np.abs(k) ** (spec.lam - 1.0))
     return _assemble(m, dm, a, da)

@@ -1,11 +1,14 @@
 """Feature maps for kernelized attention.
 
-The norm-aware map ("nala") factors a vector into norm and direction and
-treats the two parts differently:
+The norm-aware map ("nala") factors a vector into norm and direction with
+_norm_direction, the one split: both maps run it, and the analytic
+Jacobians in nala.gradcheck differentiate it.  The two parts are treated
+differently:
 
 * query magnitudes are the direction entries raised elementwise to a
   norm-dependent power p(n) = lambda * (0.5 + tanh(n)), so a longer query
-  sharpens the weighting of its own coordinates;
+  sharpens the weighting of its own coordinates.  p > 0, so the magnitude
+  is continuous in the entry and exactly zero at a zero entry;
 * key magnitudes are the raw entries raised to the fixed power lambda, so
   key length survives the map;
 * signs are carried separately: each direction entry is squashed into
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongKernel, ZeroVector
-from .linalg import ZERO_NORM_FLOOR
 
 
 class KernelKind(str, enum.Enum):
@@ -51,9 +53,8 @@ class KernelKind(str, enum.Enum):
 #: weights cannot depend on the input's scale.
 HOMOGENEOUS_KINDS = frozenset({KernelKind.RELU, KernelKind.FIXED_POWER})
 
-#: Guards the query power against vanishing direction entries: magnitudes
-#: below it map to exactly zero.
-MAG_FLOOR = 1e-12
+#: Norms at or below this are treated as zero: a direction cannot be extracted.
+ZERO_NORM_FLOOR = 1e-300
 
 #: Angle bound of the sign encoding.  Two squashed angles in
 #: (-pi/4, pi/4) differ by less than pi/2, so every per-coordinate cosine
@@ -143,7 +144,6 @@ def _phi_q_into(x, spec: KernelSpec, out):
     half_angles = np.tanh(u)
     half_angles *= 0.5 * SQUASH_SCALE
     m = np.abs(u, out=u)  # direction no longer needed past this point
-    np.copyto(m, 0.0, where=m < MAG_FLOOR)
     np.power(m, p, out=m)
     return _fill_trig_blocks(out, d, m, half_angles)
 
@@ -174,8 +174,8 @@ def phi_q(q, spec: KernelSpec) -> np.ndarray:
     """Norm-aware query feature map; input (..., d) -> output (..., 2d).
 
     With (n, u) the norm-direction split of a query row, the magnitude of
-    coordinate i is |u_i| ** p(n) (zero when |u_i| < MAG_FLOOR),
-    and its angle is the squashed direction entry.
+    coordinate i is |u_i| ** p(n), and its angle is the squashed direction
+    entry.
     """
     if spec.kind is not KernelKind.NALA:
         raise WrongKernel(f"phi_q requires the nala kernel, got {spec.kind.value}")

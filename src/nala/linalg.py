@@ -1,28 +1,17 @@
-"""Dense linear-algebra substrate: validated arrays, norm-direction splits, seeded RNG.
+"""Dense linear-algebra substrate: validated arrays and a seeded RNG.
 
 Everything downstream works on float64 numpy arrays.  The helpers here add
 the validation the rest of the package relies on (finite entries, shape
-agreement, non-zero vectors) and pin the random number generator to a fixed
-algorithm so that identical seeds give identical streams.
+agreement) and pin the random number generator to a fixed algorithm so
+that identical seeds give identical streams.  The norm-direction split of
+the feature maps lives with the maps, in nala.kernels.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
-
-# Norms at or below this are treated as zero: a direction cannot be extracted.
-ZERO_NORM_FLOOR = 1e-300
-
-
-class NDParts(NamedTuple):
-    """A non-zero vector split into its Euclidean length and unit direction."""
-
-    norm: float
-    direction: np.ndarray
+from .errors import DimensionMismatch
 
 
 def as_vector(x) -> np.ndarray:
@@ -47,19 +36,6 @@ def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def nd_decompose(x) -> NDParts:
-    """Split a non-zero vector into (Euclidean norm, unit direction).
-
-    Raises ZeroVector when the norm is indistinguishable from zero; the
-    direction of a zero vector is undefined.
-    """
-    v = as_vector(x)
-    norm = float(np.linalg.norm(v))
-    if norm <= ZERO_NORM_FLOOR:
-        raise ZeroVector("cannot extract a direction from a zero vector")
-    return NDParts(norm, v / norm)
 
 
 def make_rng(seed: int) -> np.random.Generator:

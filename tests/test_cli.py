@@ -176,11 +176,19 @@ class TestGradCheck:
         code, _ = run(tmp_path, "grad-check", "--kernel", "relu")
         assert code == 2
 
+    def test_certifies_at_d_400(self, tmp_path):
+        # query-direction entries shrink like 1/sqrt(d), and so does their floor
+        code, out = run(tmp_path, "grad-check", "--d", "400", name="report.txt")
+        assert code == 0
+        text = out.read_text()
+        assert text.count("PASS") == 2 and "FAIL" not in text
+
     def test_no_admissible_point_is_a_named_error(self, tmp_path, capsys):
-        # at d=2000 every Gaussian query direction has an entry below the floor
-        code, _ = run(tmp_path, "grad-check", "--d", "2000", name="report.txt")
+        # at d=10000 a Gaussian query direction has ~32 entries below the
+        # floor 1e-3 * 4/sqrt(d) = 4e-5, so no draw clears it
+        code, _ = run(tmp_path, "grad-check", "--d", "10000", name="report.txt")
         err = capsys.readouterr().err
-        assert code == 2 and err.startswith("error: ") and "d=2000" in err and "0.001" in err
+        assert code == 2 and err.startswith("error: ") and "d=10000" in err and "4e-05" in err
 
 
 class TestBench:

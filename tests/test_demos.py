@@ -9,12 +9,12 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# 05_scaling_benchmark is left out: it times a sweep for about 30 s.
 DEMOS = [
     "01_norm_aware_kernel",
     "02_entropy_vs_query_norm",
     "03_linear_equals_quadratic",
     "04_gradient_check",
+    "05_scaling_benchmark",
     "06_gated_block",
 ]
 

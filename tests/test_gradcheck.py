@@ -3,19 +3,16 @@
 import numpy as np
 import pytest
 
-from nala.checks import _admissible_point
 from nala.errors import NearSingular
-from nala.gradcheck import finite_diff_jacobian, jac_phi_k, jac_phi_q, max_rel_error
+from nala.gradcheck import (
+    admissible_point,
+    finite_diff_jacobian,
+    jac_phi_k,
+    jac_phi_q,
+    max_rel_error,
+)
 from nala.kernels import KernelSpec, phi_k, phi_q
 from nala.linalg import make_rng
-
-
-def admissible_query(rng, d):
-    return _admissible_point(rng, d, direction=True)
-
-
-def admissible_key(rng, d):
-    return _admissible_point(rng, d, direction=False)
 
 
 class TestFiniteDiffHarness:
@@ -44,7 +41,7 @@ class TestQueryJacobian:
         rng = make_rng(3)
         spec = KernelSpec(lam=2.0)
         for _ in range(50):
-            q = admissible_query(rng, 8)
+            q = admissible_point(rng, 8, direction=True)
             fd = finite_diff_jacobian(lambda v: phi_q(v, spec), q, step_scale=1e-5)
             err = max_rel_error(jac_phi_q(q, spec), fd)
             assert err <= 1e-6, f"rel error {err:.3e} at {q}"
@@ -57,7 +54,7 @@ class TestQueryJacobian:
     def test_coordinate_permutation_equivariance(self):
         rng = make_rng(4)
         spec = KernelSpec(lam=2.0)
-        q = admissible_query(rng, 6)
+        q = admissible_point(rng, 6, direction=True)
         perm = rng.permutation(6)
         J = jac_phi_q(q, spec)
         Jp = jac_phi_q(q[perm], spec)
@@ -70,7 +67,7 @@ class TestQueryJacobian:
         # the norm feeds the exponent, so the map is not scale-equivariant
         rng = make_rng(5)
         spec = KernelSpec(lam=2.0)
-        q = admissible_query(rng, 8)
+        q = admissible_point(rng, 8, direction=True)
         J1 = jac_phi_q(q, spec)
         J2 = jac_phi_q(2.0 * q, spec)
         assert np.abs(J1 - J2).max() > 1e-6
@@ -79,7 +76,7 @@ class TestQueryJacobian:
         # halving-by-ten the step should not worsen the agreement
         rng = make_rng(6)
         spec = KernelSpec(lam=2.0)
-        q = admissible_query(rng, 8)
+        q = admissible_point(rng, 8, direction=True)
         J = jac_phi_q(q, spec)
         coarse = max_rel_error(J, finite_diff_jacobian(lambda v: phi_q(v, spec), q, 1e-4))
         fine = max_rel_error(J, finite_diff_jacobian(lambda v: phi_q(v, spec), q, 1e-5))
@@ -91,7 +88,7 @@ class TestKeyJacobian:
         rng = make_rng(7)
         spec = KernelSpec(lam=2.0)
         for _ in range(50):
-            k = admissible_key(rng, 8)
+            k = admissible_point(rng, 8, direction=False)
             fd = finite_diff_jacobian(lambda v: phi_k(v, spec), k, step_scale=1e-5)
             err = max_rel_error(jac_phi_k(k, spec), fd)
             assert err <= 1e-6, f"rel error {err:.3e} at {k}"
@@ -123,6 +120,6 @@ class TestKeyJacobian:
         rng = make_rng(8)
         for lam in (1.0, 3.0, 4.5):
             spec = KernelSpec(lam=lam)
-            k = admissible_key(rng, 6)
+            k = admissible_point(rng, 6, direction=False)
             fd = finite_diff_jacobian(lambda v: phi_k(v, spec), k, 1e-5)
             assert max_rel_error(jac_phi_k(k, spec), fd) <= 1e-6

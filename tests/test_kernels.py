@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nala.errors import WrongKernel, ZeroVector
 from nala.kernels import (
     _MAP_BLOCK_ELEMS,
-    MAG_FLOOR,
     KernelKind,
     KernelSpec,
     baseline_map,
@@ -123,6 +122,23 @@ class TestPhiQ:
         out = phi_q(q, KernelSpec())
         assert np.all(out[:16] > 0)
 
+    @given(
+        rest=st.lists(
+            st.floats(-10, 10).filter(lambda v: abs(v) >= 1e-3), min_size=1, max_size=15
+        ),
+        lam=st.floats(0.05, 8.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_continuous_across_tiny_direction_entries(self, rest, lam, sign):
+        # a direction entry just below and just above 1e-12: |u_i|**p has no
+        # cut-off there, so the two features differ only by the entry's own change
+        n = np.linalg.norm(rest)
+        below, above = (np.append(rest, sign * t * n) for t in (0.999999e-12, 1.000001e-12))
+        spec = KernelSpec(lam=lam)
+        lo, hi = phi_q(below, spec), phi_q(above, spec)
+        assert np.abs(hi - lo).max() <= 1e-5 * np.abs(hi).max()
+
     def test_not_homogeneous_in_any_degree(self):
         # the scale enters through the exponent, so phi_q(2q)/phi_q(q) is
         # not a constant vector for generic q
@@ -194,10 +210,7 @@ class TestMapAccuracy:
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_transcription(self, row, lam):
         x = np.array(row)
-        n = math.sqrt(sum(v * v for v in row))
-        # the transcriptions apply no MAG_FLOOR: keep direction entries
-        # clear of it (or exactly zero, which both sides map to zero)
-        assume(n > 0 and all(v == 0 or abs(v) / n >= 1e-11 for v in row))
+        assume(math.sqrt(sum(v * v for v in row)) > 0)
         spec = KernelSpec(lam=lam)
         assert_matches_transcription(phi_q(x, spec), x, lam)
         assert_matches_transcription(phi_k(x, spec), x, lam, key=True)
@@ -218,17 +231,6 @@ class TestMapAccuracy:
         spec = KernelSpec(lam=4.0)
         assert_matches_transcription(phi_q(x, spec), x, 4.0)
         assert_matches_transcription(phi_k(x, spec), x, 4.0, key=True)
-
-    def test_entries_below_mag_floor_map_to_zero(self):
-        spec = KernelSpec(lam=2.0)
-        q = np.array([[1.0, 3e-13, -0.5, -2e-13], [-2.0, 1e-15, 0.0, 4.0]])
-        out = phi_q(q, spec)
-        d = q.shape[-1]
-        small = np.abs(q / np.linalg.norm(q, axis=1, keepdims=True)) < MAG_FLOOR
-        assert small.sum() == 4
-        assert np.all(out[..., :d][small] == 0.0)
-        assert np.all(out[..., d:][small] == 0.0)
-        assert np.all(out[..., :d][~small] > 0.0)
 
     def test_key_magnitude_near_float64_max_stays_finite(self):
         # |k_0|**4 ~ 1.5e308: doubling that magnitude would overflow
