@@ -67,8 +67,7 @@ def entropy_concavity(rng: np.random.Generator) -> CheckResult:
     worst = -np.inf
     for _ in range(50):
         x = rng.uniform(0.2, 1.2, size=12)
-        for m in range(x.size):
-            worst = max(worst, float(concavity_probe(x, m, [1e-4]).max()))
+        worst = max(worst, float(concavity_probe(x, range(x.size), [1e-4]).max()))
     return CheckResult("entropy second differences nonpositive on random rows", worst <= 1e-8,
                        worst, 1e-8, f"max second difference {worst:.3e} over 50 rows x 12 coords")
 
@@ -77,7 +76,7 @@ def similarity_nonnegative(rng: np.random.Generator, spec: KernelSpec) -> CheckR
     """No similarity phi_q(q) . phi_k(k) over 10^5 Gaussian pairs in 16 dimensions is negative."""
     qs = rng.standard_normal((100_000, 16))
     ks = rng.standard_normal((100_000, 16))
-    sims = np.sum(phi_q(qs, spec) * phi_k(ks, spec), axis=1)
+    sims = np.einsum("ij,ij->i", phi_q(qs, spec), phi_k(ks, spec))
     low = float(sims.min())
     return CheckResult("kernel similarities are nonnegative", bool(np.all(sims >= 0.0)), low, 0.0,
                        f"min similarity {low:.3e} over {sims.size} Gaussian pairs")

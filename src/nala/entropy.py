@@ -40,36 +40,50 @@ from .errors import (
     WrongKernel,
 )
 from .kernels import HOMOGENEOUS_KINDS, KernelSpec
+from .linalg import as_vector
 
 #: Pseudo-kernel id used when a scan includes the softmax oracle.
 SOFTMAX_ID = "softmax"
 
 
-def pse(values) -> float:
-    """Entropy in nats of a nonnegative sequence normalized by its sum."""
+def pse(values) -> float | np.ndarray:
+    """Entropy in nats of a nonnegative sequence normalized by its sum.
+
+    Reduces over the last axis: a 1-D sequence gives a float, an (m, N)
+    array gives m entropies, one per row.  Entries must be finite and
+    nonnegative, and every row must have a positive sum.
+    """
     x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence, got shape {x.shape}")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D sequence or a 2-D array of rows, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sequence entries must be finite")
     if np.any(x < 0):
         raise ValueError("sequence entries must be nonnegative")
-    s = x.sum()
-    if not s > 0:
+    s = x.sum(axis=-1, keepdims=True)
+    if not np.all(s > 0):
         raise NonPositiveSum("all entries are zero; entropy is undefined")
     p = x / s
-    return float(-xlogy(p, p).sum())
+    h = -xlogy(p, p).sum(axis=-1)
+    return float(h) if x.ndim == 1 else h
 
 
-def pse_of_exp(x, c: float) -> float:
+def pse_of_exp(x, c) -> float | np.ndarray:
     """Entropy of the softmax of c*x, computed in shifted (stable) form.
 
     Equals pse(exp(c*x)) but never overflows: with z = c*x - max(c*x),
-    H = logsumexp(z) - sum_i p_i z_i.
+    H = logsumexp(z) - sum_i p_i z_i.  A scalar c gives a float; a 1-D
+    grid of scales gives one entropy per scale, from one (len(c), N)
+    array whose rows are each shifted by their own maximum.
     """
-    z = c * np.asarray(x, dtype=np.float64)
-    z -= z.max()
+    x = as_vector(x)
+    c = np.asarray(c, dtype=np.float64)
+    z = c[..., None] * x
+    z -= z.max(axis=-1, keepdims=True)
     w = np.exp(z)
-    s = w.sum()
-    return float(np.log(s) - (w @ z) / s)
+    s = w.sum(axis=-1)
+    h = np.log(s) - np.einsum("...i,...i->...", w, z) / s
+    return float(h) if c.ndim == 0 else h
 
 
 @dataclass
@@ -85,13 +99,15 @@ class Theorem1Scan:
 def theorem1_scan(x, c_grid) -> Theorem1Scan:
     """Scan pse_of_exp(x, c) over an increasing positive grid of scales.
 
+    The whole grid is one pse_of_exp call on a (len(c_grid), N) array.
+
     c0_index is the start of the longest strictly decreasing suffix of the
     entropy sequence; monotone_after reports whether such a suffix exists
     (at least one decreasing step reaching the end of the grid).  Constant
     sequences are rejected: their entropy is ln N at every scale, so no
     threshold exists.  A tied (non-unique) maximum is flagged but scanned.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_vector(x)
     c = np.asarray(c_grid, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
         raise ValueError("c_grid must hold at least two scales")
@@ -101,7 +117,7 @@ def theorem1_scan(x, c_grid) -> Theorem1Scan:
         raise DegenerateSequence("constant sequence: entropy is ln N at every scale")
     tied = int((x == x.max()).sum()) > 1
 
-    ents = np.array([pse_of_exp(x, ci) for ci in c])
+    ents = pse_of_exp(x, c)
     i = ents.size - 1
     while i > 0 and ents[i - 1] > ents[i]:
         i -= 1
@@ -253,25 +269,33 @@ def norm_entropy_experiment(
     return records, correlations
 
 
-def concavity_probe(x, index: int, h_grid) -> np.ndarray:
+def concavity_probe(x, index, h_grid) -> np.ndarray:
     """Central second differences of pse along coordinate `index`.
 
     Returns [pse(x + h e) - 2 pse(x) + pse(x - h e)] / h^2 for each step h.
-    Steps that would push the coordinate to zero or below are rejected; the
-    entropy's derivative is unbounded there and the difference would be
-    meaningless.
+    `index` is an int, giving one value per step, or a sequence of
+    coordinates, giving a (len(index), len(h_grid)) array with one row per
+    coordinate; all perturbed points go through one row-wise pse call per
+    side.  Steps that would push a coordinate to zero or below are
+    rejected; the entropy's derivative is unbounded there and the
+    difference would be meaningless.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not x[index] > 0:
-        raise InvalidPerturbation(f"coordinate {index} must be positive")
+    x = as_vector(x)
+    coords = np.atleast_1d(np.asarray(index))
+    h = np.asarray(h_grid, dtype=np.float64)
+    nonpositive = x[coords] <= 0
+    if nonpositive.any():
+        raise InvalidPerturbation(f"coordinate {coords[nonpositive][0]} must be positive")
+    outside = ~((0 < h) & (h < x[coords][:, None]))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise InvalidPerturbation(
+            f"step {h[j]} leaves the positive domain at coordinate {coords[i]}"
+        )
     base = pse(x)
-    out = []
-    for h in np.asarray(h_grid, dtype=np.float64):
-        if not 0 < h < x[index]:
-            raise InvalidPerturbation(
-                f"step {h} leaves the positive domain at coordinate {index}"
-            )
-        e = np.zeros_like(x)
-        e[index] = h
-        out.append((pse(x + e) - 2.0 * base + pse(x - e)) / h**2)
-    return np.array(out)
+    e = np.zeros((coords.size, h.size, x.size))
+    e[np.arange(coords.size), :, coords] = h
+    plus = pse((x + e).reshape(-1, x.size))
+    minus = pse((x - e).reshape(-1, x.size))
+    out = (plus - 2.0 * base + minus).reshape(coords.size, h.size) / h**2
+    return out[0] if np.ndim(index) == 0 else out

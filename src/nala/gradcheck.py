@@ -14,6 +14,9 @@ same on the angle side with a diagonal lambda |k_i|^(lambda-1) sign(k_i)
 magnitude path.  Both Jacobians differentiate the maps' own split,
 kernels._norm_direction.
 
+finite_diff_jacobian differentiates any map that takes rows: it evaluates
+the d perturbed points of each side as one (d, d) batch.
+
 |u|^p has a kink at zero that a central difference must not straddle.  One
 rule, _near_kink, rejects points too close to it, in both Jacobians and in
 the sampler admissible_point, so the two cannot disagree about a point.
@@ -56,15 +59,17 @@ def admissible_point(rng: np.random.Generator, d: int, direction: bool) -> np.nd
 
 
 def finite_diff_jacobian(f, x, step_scale: float = 1e-5) -> np.ndarray:
-    """Central-difference (out_dim, d) Jacobian, step h_j = step_scale * max(1, |x_j|)."""
+    """Central-difference (out_dim, d) Jacobian, step h_j = step_scale * max(1, |x_j|).
+
+    f maps rows: given a (d, d) array it returns one output row per input
+    row, as phi_q and phi_k do.  The d perturbed points of each side go
+    through one call, f(x + diag(h)) and f(x - diag(h)).
+    """
     x = as_vector(x)
-    cols = []
-    for j in range(x.size):
-        h = step_scale * max(1.0, abs(x[j]))
-        e = np.zeros_like(x)
-        e[j] = h
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    h = step_scale * np.maximum(1.0, np.abs(x))
+    step = np.diag(h)
+    diff = np.asarray(f(x + step)) - np.asarray(f(x - step))
+    return (diff / (2.0 * h)[:, None]).T
 
 
 def _sech2(x):

@@ -238,3 +238,29 @@ class TestVerifyTheorems:
         (line,) = [x for x in out.read_text().splitlines() if "trig-block" in x]
         assert "nan" not in line and line.startswith("PASS")
         assert re.search(r", [1-9]\d* magnitudes below the float64 normal range skipped$", line)
+
+
+#: Full stdout at seed 7 and the default sizes.  Batching or vectorizing the
+#: checks must not change a certified byte.
+GRAD_CHECK_SEED_7 = (
+    "PASS phi_q: max rel error 1.37143075e-11 over 50 points (tol 1e-06)\n"
+    "PASS phi_k: max rel error 3.6622673e-11 over 50 points (tol 1e-06)\n"
+)
+VERIFY_THEOREMS_SEED_7 = (
+    "PASS exp-row entropy decreases beyond a scale threshold: 300/300 random unique-max rows, N in (4, 16, 64)\n"
+    "PASS relu attention entropy is query-scale invariant: max deviation 1.279e-13 over scales [0.5, 8]\n"
+    "PASS fixed_power attention entropy is query-scale invariant: max deviation 8.420e-13 over scales [0.5, 8]\n"
+    "PASS nala attention entropy depends on the query norm: max deviation 3.980e-02 over scales [0.5, 8]\n"
+    "PASS entropy second differences nonpositive on random rows: max second difference -7.008e-02 over 50 rows x 12 coords\n"
+    "PASS kernel similarities are nonnegative: min similarity 9.699e-03 over 100000 Gaussian pairs\n"
+    "PASS sign encoding preserves the trig-block norm: max |sum(cos^2+sin^2) - d| = 3.553e-15 over 1000 directions\n"
+)
+
+
+@pytest.mark.parametrize(
+    "subcommand, expected",
+    [("grad-check", GRAD_CHECK_SEED_7), ("verify-theorems", VERIFY_THEOREMS_SEED_7)],
+)
+def test_seed_7_report_bytes(subcommand, expected, capsys):
+    assert parse_and_dispatch([subcommand, "--seed", "7"]) == 0
+    assert capsys.readouterr().out == expected

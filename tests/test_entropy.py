@@ -49,6 +49,19 @@ class TestPse:
         with pytest.raises(ValueError):
             pse([1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pse([1.0, bad])
+
+    def test_rows_reduce_independently(self):
+        rows = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 0.0], [5.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(pse(rows), [pse(row) for row in rows])
+
+    def test_any_all_zero_row_rejected(self):
+        with pytest.raises(NonPositiveSum):
+            pse(np.array([[1.0, 2.0], [0.0, 0.0]]))
+
     @given(
         st.lists(st.floats(0.0, 1e3), min_size=2, max_size=32).filter(
             lambda xs: sum(xs) > 0
@@ -89,6 +102,21 @@ class TestPseOfExp:
         h = pse_of_exp(x, 10.0)
         assert 0.0 <= h < 1e-10  # fully concentrated, no overflow
 
+    def test_grid_matches_scalar_scales(self):
+        rng = make_rng(15)
+        grid = np.geomspace(0.1, 20.0, 32)
+        for n in (4, 16, 64):
+            x = rng.standard_normal(n)
+            batched = pse_of_exp(x, grid)
+            assert batched.shape == grid.shape
+            for i, c in enumerate(grid):
+                assert abs(batched[i] - pse_of_exp(x, c)) <= 2e-15
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pse_of_exp(np.array([1.0, bad]), 2.0)
+
     def test_shift_invariance(self):
         rng = make_rng(3)
         x = rng.standard_normal(10)
@@ -124,6 +152,12 @@ class TestTheorem1Scan:
         # entropy converges to ln(2) for a two-way tie, decreasing throughout
         assert scan.monotone_after
         assert scan.entropies[-1] == pytest.approx(math.log(2), abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # without the check a nan gives all-nan entropies and no threshold
+        with pytest.raises(ValueError, match="finite"):
+            theorem1_scan(np.array([1.0, bad, 2.0]), np.geomspace(0.1, 20.0, 16))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -342,6 +376,20 @@ class TestConcavityProbe:
     def test_step_leaving_domain_rejected(self):
         with pytest.raises(InvalidPerturbation):
             concavity_probe(np.array([0.5, 1.0]), 0, [0.6])
+
+    def test_step_leaving_domain_rejected_for_any_listed_coordinate(self):
+        with pytest.raises(InvalidPerturbation, match="step 0.6 .* coordinate 1$"):
+            concavity_probe(np.array([1.0, 0.5, 1.0]), [0, 1, 2], [1e-4, 0.6])
+
+    def test_coordinate_sequence_equals_int_form(self):
+        rng = make_rng(16)
+        steps = [1e-2, 1e-4]
+        for _ in range(20):
+            x = rng.uniform(0.2, 1.2, size=12)
+            rows = concavity_probe(x, range(x.size), steps)
+            assert rows.shape == (x.size, len(steps))
+            for m in range(x.size):
+                np.testing.assert_array_equal(rows[m], concavity_probe(x, m, steps))
 
     def test_truncation_shrinks_with_step(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])

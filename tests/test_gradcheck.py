@@ -26,7 +26,7 @@ class TestFiniteDiffHarness:
         rng = make_rng(1)
         A = rng.standard_normal((5, 7))
         x = rng.standard_normal(7)
-        jac = finite_diff_jacobian(lambda v: A @ v, x)
+        jac = finite_diff_jacobian(lambda v: v @ A.T, x)
         np.testing.assert_allclose(jac, A, atol=1e-9)
 
     def test_elementwise_square(self):
@@ -34,6 +34,21 @@ class TestFiniteDiffHarness:
         x = rng.standard_normal(5)
         jac = finite_diff_jacobian(lambda v: v**2, x)
         np.testing.assert_allclose(jac, np.diag(2.0 * x), atol=1e-8)
+
+    @pytest.mark.parametrize("d", [2, 8, 16, 64])
+    @pytest.mark.parametrize("direction", [True, False], ids=["phi_q", "phi_k"])
+    def test_batched_sides_equal_per_column_loop(self, d, direction):
+        # one map call per side on x +- diag(h) gives the columns that one
+        # call per perturbed point gives, bit for bit
+        spec = KernelSpec(lam=2.0)
+        f = (lambda v: phi_q(v, spec)) if direction else (lambda v: phi_k(v, spec))
+        x = admissible_point(make_rng(d), d, direction)
+        cols = []
+        for j in range(d):
+            e = np.zeros(d)
+            e[j] = h = 1e-5 * max(1.0, abs(x[j]))
+            cols.append((f(x + e) - f(x - e)) / (2.0 * h))
+        np.testing.assert_array_equal(finite_diff_jacobian(f, x), np.stack(cols, axis=1))
 
 
 class TestQueryJacobian:
