@@ -58,11 +58,11 @@ _CAUSAL_CHUNK = 64
 
 
 def row_entropy_nats(weights: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row in nats, with the 0*log(0) = 0 convention.
+    """Shannon entropy of each row (last axis) in nats, with the 0*log(0) = 0 convention.
 
     Takes one temporary the size of weights.
     """
-    return -xlogy(weights, weights).sum(axis=1)
+    return -xlogy(weights, weights).sum(axis=-1)
 
 
 def softmax_attention(Q, K, V) -> AttentionResult:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .attention import nala_quadratic, row_entropy_nats, softmax_attention
 from .errors import (
@@ -51,7 +50,9 @@ def pse(values) -> float | np.ndarray:
 
     Reduces over the last axis: a 1-D sequence gives a float, an (m, N)
     array gives m entropies, one per row.  Entries must be finite and
-    nonnegative, and every row must have a positive sum.
+    nonnegative, and every row must have a positive sum.  Each row is
+    first divided by the power of two at its maximum, which is exact, so
+    the sum cannot overflow.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -60,26 +61,31 @@ def pse(values) -> float | np.ndarray:
         raise ValueError("sequence entries must be finite")
     if np.any(x < 0):
         raise ValueError("sequence entries must be nonnegative")
+    _, e = np.frexp(x.max(axis=-1, keepdims=True, initial=0.0))
+    x = np.ldexp(x, -e)
     s = x.sum(axis=-1, keepdims=True)
     if not np.all(s > 0):
         raise NonPositiveSum("all entries are zero; entropy is undefined")
-    p = x / s
-    h = -xlogy(p, p).sum(axis=-1)
+    h = row_entropy_nats(x / s)
     return float(h) if x.ndim == 1 else h
 
 
 def pse_of_exp(x, c) -> float | np.ndarray:
     """Entropy of the softmax of c*x, computed in shifted (stable) form.
 
-    Equals pse(exp(c*x)) but never overflows: with z = c*x - max(c*x),
-    H = logsumexp(z) - sum_i p_i z_i.  A scalar c gives a float; a 1-D
-    grid of scales gives one entropy per scale, from one (len(c), N)
-    array whose rows are each shifted by their own maximum.
+    Equals pse(exp(c*x)) but never overflows: with z = c*(x - max(x)),
+    H = logsumexp(z) - sum_i p_i z_i.  z is clamped at -750, where exp
+    already underflows to 0, so no 0 * (-inf) term enters the sum.  Scales
+    must be finite and nonnegative.  A scalar c gives a float; a 1-D grid
+    of scales gives one entropy per scale, from one (len(c), N) array.
     """
     x = as_vector(x)
     c = np.asarray(c, dtype=np.float64)
-    z = c[..., None] * x
-    z -= z.max(axis=-1, keepdims=True)
+    if not np.all((c >= 0) & (c < np.inf)):
+        raise ValueError("scales must be finite and nonnegative")
+    with np.errstate(over="ignore"):  # a product that overflows to -inf is clamped
+        z = c[..., None] * (x - x.max())
+    np.maximum(z, -750.0, out=z)
     w = np.exp(z)
     s = w.sum(axis=-1)
     h = np.log(s) - np.einsum("...i,...i->...", w, z) / s

@@ -18,6 +18,11 @@ differently:
   (-pi/2, pi/2) - strictly positive, and smallest when the coordinates
   have opposite signs.
 
+Both maps run one fill, which differs between them only in the magnitude,
+and one chunk loop, which maps any (..., d) input as rows.  The split
+rescales out-of-range rows by an exact power of two, so every non-zero
+finite row has a direction.
+
 The [m cos a; m sin a] pair is computed from the half-angle identity: with
 t = tan(a/2), cos a = (1 - t^2) / (1 + t^2) and sin a = 2t / (1 + t^2), so
 a map costs one tan and a few multiplies and adds per entry.  numpy runs
@@ -53,8 +58,7 @@ class KernelKind(str, enum.Enum):
 #: weights cannot depend on the input's scale.
 HOMOGENEOUS_KINDS = frozenset({KernelKind.RELU, KernelKind.FIXED_POWER})
 
-#: Norms at or below this are treated as zero: a direction cannot be extracted.
-ZERO_NORM_FLOOR = 1e-300
+_FLOAT64 = np.finfo(np.float64)
 
 #: Angle bound of the sign encoding.  Two squashed angles in
 #: (-pi/4, pi/4) differ by less than pi/2, so every per-coordinate cosine
@@ -92,15 +96,28 @@ def direction_squash(u):
 
 
 def _norm_direction(x):
-    """Rowwise (norm, direction) over the last axis; rejects zero rows."""
+    """Rowwise (norm, direction) over the last axis; rejects all-zero rows.
+
+    A row whose squared norm leaves the float64 normal range is first
+    divided by the power of two at its largest |entry|, which is exact, so
+    every non-zero finite row has a direction.
+    """
     x = np.asarray(x, dtype=np.float64)
+    sq = np.einsum("...i,...i->...", x, x)[..., None]
+    out_of_range = ~((sq >= _FLOAT64.tiny) & (sq <= _FLOAT64.max))
+    if not out_of_range.any():
+        norms = np.sqrt(sq)
+        return norms, x / norms
+    _, e = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
+    e = np.where(out_of_range, e, 0)
+    x = np.ldexp(x, -e)
     norms = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
-    if np.any(norms <= ZERO_NORM_FLOOR):
+    if np.any(norms == 0):
         raise ZeroVector("feature map requires non-zero vectors")
-    return norms, x / norms
+    return np.ldexp(norms, e), x / norms
 
 
-#: Elements per chunk in the 2-D fast path, so every temporary stays
+#: Elements per chunk of the map driver, so every temporary stays
 #: cache-resident; the maps are the hot path of all O(N) evaluators.
 #: Swept with one BLAS thread, variants alternated, two sweeps of 36 timed
 #: calls each (ms, min / median):
@@ -137,37 +154,29 @@ def _fill_trig_blocks(out, d, magnitudes, half_angles):
     return out
 
 
-def _phi_q_into(x, spec: KernelSpec, out):
+def _map_rows_into(x, spec: KernelSpec, query: bool, out):
+    """Fill out with phi_q (query) or phi_k rows of x; the maps differ only in m."""
     norms, u = _norm_direction(x)
-    p = power_exponent(norms, spec)
-    d = u.shape[-1]
-    half_angles = np.tanh(u)
+    if query:
+        m, power = np.abs(u), power_exponent(norms, spec)
+    else:
+        m, power = np.abs(x), spec.lam
+    np.power(m, power, out=m)
+    half_angles = np.tanh(u, out=u)  # direction no longer needed past this point
     half_angles *= 0.5 * SQUASH_SCALE
-    m = np.abs(u, out=u)  # direction no longer needed past this point
-    np.power(m, p, out=m)
-    return _fill_trig_blocks(out, d, m, half_angles)
+    return _fill_trig_blocks(out, u.shape[-1], m, half_angles)
 
 
-def _phi_k_into(x, spec: KernelSpec, out):
-    _, u = _norm_direction(x)
-    d = u.shape[-1]
-    half_angles = np.tanh(u, out=u)
-    half_angles *= 0.5 * SQUASH_SCALE
-    m = np.abs(x)
-    np.power(m, spec.lam, out=m)
-    return _fill_trig_blocks(out, d, m, half_angles)
-
-
-def _chunked_map(fill, x, spec: KernelSpec) -> np.ndarray:
+def _map(x, spec: KernelSpec, query: bool) -> np.ndarray:
+    """Map any (..., d) input as rows, _MAP_BLOCK_ELEMS elements per chunk."""
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (2 * d,))
-    if x.ndim != 2 or x.shape[0] * d <= _MAP_BLOCK_ELEMS:
-        return fill(x, spec, out)
-    step = max(1, _MAP_BLOCK_ELEMS // d)
-    for i in range(0, x.shape[0], step):
-        fill(x[i : i + step], spec, out[i : i + step])
-    return out
+    rows = x.reshape(math.prod(x.shape[:-1]), d)  # reshape(-1, 0) is ambiguous
+    out = np.empty((rows.shape[0], 2 * d))
+    step = max(1, _MAP_BLOCK_ELEMS // max(d, 1))
+    for i in range(0, rows.shape[0], step):
+        _map_rows_into(rows[i : i + step], spec, query, out[i : i + step])
+    return out.reshape(x.shape[:-1] + (2 * d,))
 
 
 def phi_q(q, spec: KernelSpec) -> np.ndarray:
@@ -179,7 +188,7 @@ def phi_q(q, spec: KernelSpec) -> np.ndarray:
     """
     if spec.kind is not KernelKind.NALA:
         raise WrongKernel(f"phi_q requires the nala kernel, got {spec.kind.value}")
-    return _chunked_map(_phi_q_into, q, spec)
+    return _map(q, spec, query=True)
 
 
 def phi_k(k, spec: KernelSpec) -> np.ndarray:
@@ -191,7 +200,7 @@ def phi_k(k, spec: KernelSpec) -> np.ndarray:
     """
     if spec.kind is not KernelKind.NALA:
         raise WrongKernel(f"phi_k requires the nala kernel, got {spec.kind.value}")
-    return _chunked_map(_phi_k_into, k, spec)
+    return _map(k, spec, query=False)
 
 
 def baseline_map(x, spec: KernelSpec) -> np.ndarray:

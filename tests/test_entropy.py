@@ -62,6 +62,17 @@ class TestPse:
         with pytest.raises(NonPositiveSum):
             pse(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("empty", [np.zeros(0), np.zeros((2, 0))])
+    def test_empty_row_rejected(self, empty):
+        with pytest.raises(NonPositiveSum):
+            pse(empty)
+
+    def test_row_whose_sum_overflows(self):
+        # 1e308 + 1e308 is inf; the rows are summed after an exact rescale
+        assert pse([1e308, 1e308]) == math.log(2)
+        rows = np.array([[1e308, 1e308], [1.0, 1.0]])
+        np.testing.assert_array_equal(pse(rows), [math.log(2)] * 2)
+
     @given(
         st.lists(st.floats(0.0, 1e3), min_size=2, max_size=32).filter(
             lambda xs: sum(xs) > 0
@@ -117,6 +128,17 @@ class TestPseOfExp:
         with pytest.raises(ValueError, match="finite"):
             pse_of_exp(np.array([1.0, bad]), 2.0)
 
+    def test_scaled_row_overflows(self):
+        # c * x is inf at 1e300 * 1e10; the shift comes first, so nothing is nan
+        assert pse_of_exp([1e300, 0.0], 1e10) == 0.0
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_scale_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="scales"):
+            pse_of_exp([1.0, 2.0], bad)
+        with pytest.raises(ValueError, match="scales"):
+            pse_of_exp([1.0, 2.0], [0.5, bad])
+
     def test_shift_invariance(self):
         rng = make_rng(3)
         x = rng.standard_normal(10)
@@ -158,6 +180,10 @@ class TestTheorem1Scan:
         # without the check a nan gives all-nan entropies and no threshold
         with pytest.raises(ValueError, match="finite"):
             theorem1_scan(np.array([1.0, bad, 2.0]), np.geomspace(0.1, 20.0, 16))
+
+    def test_overflowing_scales_concentrate_instead_of_nan(self):
+        scan = theorem1_scan([1e300, 0.0, 5.0], [1e8, 1e9, 1e10])
+        np.testing.assert_array_equal(scan.entropies, [0.0, 0.0, 0.0])
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

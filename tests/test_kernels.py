@@ -12,6 +12,7 @@ from nala.kernels import (
     _MAP_BLOCK_ELEMS,
     KernelKind,
     KernelSpec,
+    _norm_direction,
     baseline_map,
     direction_squash,
     pairwise_similarity,
@@ -24,7 +25,7 @@ from nala.linalg import make_rng
 
 def scalar_phi_q(q, lam):
     """Straight-line scalar transcription of the query map, as an oracle."""
-    n = math.sqrt(sum(v * v for v in q))
+    n = math.hypot(*q)
     u = [v / n for v in q]
     p = lam * (0.5 + math.tanh(n))
     m = [abs(ui) ** p for ui in u]
@@ -36,7 +37,7 @@ def scalar_phi_q(q, lam):
 
 def scalar_phi_k(k, lam):
     """Straight-line scalar transcription of the key map."""
-    n = math.sqrt(sum(v * v for v in k))
+    n = math.hypot(*k)
     u = [v / n for v in k]
     m = [abs(ki) ** lam for ki in k]
     a = [math.pi / 4 * math.tanh(ui) for ui in u]
@@ -185,16 +186,20 @@ class TestPhiK:
         np.testing.assert_allclose(mag_a, mag_b, rtol=1e-14)
 
 
+#: Subnormal outputs carry no 1e-14 relative accuracy; this floors the atol.
+SUBNORMAL_ATOL = 2 * np.finfo(np.float64).smallest_subnormal
+
+
 def assert_matches_transcription(out, x, lam, key=False):
     """Rowwise check against the scalar cos/sin transcription: rtol 1e-14 and
-    atol 1e-14 times the row's largest entry."""
+    atol 1e-14 times the row's largest entry, floored at SUBNORMAL_ATOL."""
     oracle = scalar_phi_k if key else scalar_phi_q
     d = x.shape[-1]
     assert out.shape == x.shape[:-1] + (2 * d,)
     for row, got in zip(x.reshape(-1, d), out.reshape(-1, 2 * d)):
         want = np.array(oracle(row.tolist(), lam))
         np.testing.assert_allclose(
-            got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max()
+            got, want, rtol=1e-14, atol=max(1e-14 * np.abs(want).max(), SUBNORMAL_ATOL)
         )
 
 
@@ -210,7 +215,7 @@ class TestMapAccuracy:
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_transcription(self, row, lam):
         x = np.array(row)
-        assume(math.sqrt(sum(v * v for v in row)) > 0)
+        assume(math.hypot(*row) > 0)
         spec = KernelSpec(lam=lam)
         assert_matches_transcription(phi_q(x, spec), x, lam)
         assert_matches_transcription(phi_k(x, spec), x, lam, key=True)
@@ -232,6 +237,26 @@ class TestMapAccuracy:
         assert_matches_transcription(phi_q(x, spec), x, 4.0)
         assert_matches_transcription(phi_k(x, spec), x, 4.0, key=True)
 
+    def test_three_dimensional_input_equals_its_rows(self):
+        # 300 * 4 * 32 elements exceed one chunk: the 3-D input is chunked as rows
+        x = make_rng(32).standard_normal((300, 4, 32))
+        assert x.size > _MAP_BLOCK_ELEMS
+        spec = KernelSpec(lam=2.0)
+        for fn in (phi_q, phi_k):
+            rows = fn(x.reshape(-1, 32), spec)
+            np.testing.assert_array_equal(fn(x, spec), rows.reshape(300, 4, 64))
+
+    def test_one_dimensional_input_equals_one_row(self):
+        x = make_rng(33).standard_normal(9)
+        spec = KernelSpec(lam=2.0)
+        for fn in (phi_q, phi_k):
+            np.testing.assert_array_equal(fn(x, spec), fn(x[None, :], spec)[0])
+
+    def test_zero_width_input_rejected(self):
+        for fn in (phi_q, phi_k):
+            with pytest.raises(ZeroVector):
+                fn(np.zeros((3, 0)), KernelSpec())
+
     def test_key_magnitude_near_float64_max_stays_finite(self):
         # |k_0|**4 ~ 1.5e308: doubling that magnitude would overflow
         lam = 4.0
@@ -240,6 +265,54 @@ class TestMapAccuracy:
         assert np.abs(out).max() > 1e308
         assert np.all(np.isfinite(out))
         assert_matches_transcription(out, k, lam, key=True)
+
+
+class TestNormSplitAtExtremeScales:
+    """Rows whose squared norm over- or underflows are split after an exact rescale."""
+
+    rows = make_rng(40).standard_normal((64, 6))
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_direction_exact_and_norm_scales(self, exponent):
+        norms, u = _norm_direction(self.rows)
+        big_norms, big_u = _norm_direction(np.ldexp(self.rows, exponent))
+        np.testing.assert_array_equal(big_u, u)
+        np.testing.assert_array_equal(big_norms, np.ldexp(norms, exponent))
+
+    def test_phi_q_unchanged_where_exponent_saturated(self):
+        # tanh(n) rounds to 1 for n >= 20, so p(n) is the same at both scales
+        x = self.rows * (20.0 / np.linalg.norm(self.rows, axis=1).min())
+        spec = KernelSpec(lam=2.0)
+        np.testing.assert_array_equal(phi_q(np.ldexp(x, 600), spec), phi_q(x, spec))
+
+    def test_phi_k_scales_exactly_at_lambda_one(self):
+        spec = KernelSpec(lam=1.0)
+        np.testing.assert_array_equal(
+            phi_k(np.ldexp(self.rows, 600), spec), np.ldexp(phi_k(self.rows, spec), 600)
+        )
+
+    def test_phi_q_of_tiny_row_equals_small_row(self):
+        # 2^-560 squares to zero; at both scales p(n) rounds to lambda / 2
+        x = np.array([1.0, -2.0, 0.5])
+        spec = KernelSpec(lam=2.0)
+        np.testing.assert_array_equal(phi_q(np.ldexp(x, -560), spec), phi_q(np.ldexp(x, -60), spec))
+
+    def test_key_direction_survives_overflowing_norm(self):
+        out = phi_k(np.array([1e200, 0.0]), KernelSpec(lam=1.0))
+        a = math.pi / 4 * math.tanh(1.0)
+        want = [1e200 * math.cos(a), 0.0, 1e200 * math.sin(a), 0.0]
+        np.testing.assert_allclose(out, want, rtol=1e-15)
+
+    def test_subnormal_norm_gives_unit_direction(self):
+        norms, u = _norm_direction(np.array([1e-160]))
+        assert u[0] == 1.0 and norms[0] == 1e-160
+
+    def test_zero_rows_still_rejected(self):
+        x = np.array([[1e200, 1e200], [0.0, 0.0]])
+        with pytest.raises(ZeroVector):
+            _norm_direction(x)
+        with pytest.raises(ZeroVector):
+            phi_k(x, KernelSpec())
 
 
 class TestBaselineMap:
