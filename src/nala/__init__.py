@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     InvalidPerturbation,
     NearSingular,
+    NonFinite,
     NonPositiveSum,
     WrongKernel,
     ZeroVector,

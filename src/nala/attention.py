@@ -10,6 +10,13 @@ Four evaluators share one contract (rows of Q attend over rows of K/V):
                         each chunk of _CAUSAL_CHUNK rows plus a running
                         state carried from one chunk to the next.
 
+The two O(N) forms are one block loop, _stream.  It maps K (and, causally,
+Q) one block of rows at a time, so no (N, 2d) feature array is formed, and
+folds each block into the running state S = sum map_k(k_i) (x) v_i,
+z = sum map_k(k_i).  Every output row leaves through one readout,
+num / (den + DENOM_EPS).  Any block order of the sums is exact up to
+summation order (Katharopoulos et al. 2020, arXiv 2006.16236).
+
 The quadratic form is the reference: the linear and recurrent forms must
 reproduce it to near machine precision, which the test suite enforces.
 """
@@ -22,11 +29,13 @@ import numpy as np
 from scipy.special import erf, xlogy
 
 from .errors import DimensionMismatch
-from .kernels import KernelSpec, feature_maps
+from .kernels import _MAP_BLOCK_ELEMS, KernelSpec, feature_maps
 from .linalg import as_matrix
 
 #: Added to every normalization denominator so an all-zero similarity row
-#: yields a near-zero output instead of 0/0.  Below all test tolerances.
+#: yields a near-zero output instead of 0/0.  It is absolute, not relative to
+#: the similarities, so it biases rows whose similarities are small: see
+#: ROADMAP item 3, where an output moves by 99% at lambda=8 with keys x1e-2.
 DENOM_EPS = 1e-12
 
 _LN_EPS = 1e-6  # layer-norm variance floor
@@ -92,51 +101,79 @@ def nala_quadratic(Q, K, V, spec: KernelSpec, causal: bool = False) -> Attention
     return AttentionResult(weights @ V, weights)
 
 
+def _readout(num, den) -> np.ndarray:
+    """Output rows num / den, each denominator guarded by DENOM_EPS."""
+    return num / (den + DENOM_EPS)[:, None]
+
+
+def _stream(Q, K, V, spec: KernelSpec, causal: bool) -> AttentionResult:
+    """The block loop of both O(N) evaluators; inputs already validated.
+
+    Blocks hold max(1, _MAP_BLOCK_ELEMS // d) rows, one chunk of the map
+    driver, so each map call works on cache-sized arrays.  Non-causal:
+    every key block is mapped and folded into (S, z), then every query
+    block is mapped and read out.  Causal: each block maps its queries and
+    keys, and runs _CAUSAL_CHUNK-row chunks; a block holds whole chunks, so
+    the chunks are those of one unblocked pass and the output does not
+    depend on the block size.
+    """
+    map_q, map_k = feature_maps(spec)
+    rows = max(1, _MAP_BLOCK_ELEMS // Q.shape[1])
+    chunk = _CAUSAL_CHUNK if causal else rows
+    rows = max(chunk, rows - rows % chunk)
+    out = np.empty((Q.shape[0], V.shape[1]))
+    state = zsum = None
+    for i in range(0, K.shape[0], rows):
+        fk, v = map_k(K[i : i + rows]), V[i : i + rows]
+        fq = map_q(Q[i : i + rows]) if causal else None
+        if state is None:
+            state, zsum = np.zeros((fk.shape[1], v.shape[1])), np.zeros(fk.shape[1])
+        for j in range(0, fk.shape[0], chunk):
+            c = slice(j, j + chunk)
+            if causal:
+                sims = np.tril(fq[c] @ fk[c].T)
+                out[i + j : i + j + chunk] = _readout(
+                    fq[c] @ state + sims @ v[c], fq[c] @ zsum + sims.sum(axis=1)
+                )
+            state += fk[c].T @ v[c]
+            zsum += fk[c].sum(axis=0)
+    if not causal:
+        for i in range(0, Q.shape[0], rows):
+            fq = map_q(Q[i : i + rows])
+            out[i : i + rows] = _readout(fq @ state, fq @ zsum)
+    return AttentionResult(out)
+
+
 def nala_linear(Q, K, V, spec: KernelSpec) -> AttentionResult:
     """Non-causal kernel attention with the summation order re-associated.
 
-    Aggregates KV = sum_i map_k(k_i) (x) v_i and z = sum_j map_k(k_j) once,
-    then reads them per query.  No N x N matrix is formed, so the weights
-    field stays empty.  Cost O(N * d' * d_v).
+    Folds KV = sum_i map_k(k_i) (x) v_i and z = sum_j map_k(k_j) one key
+    block at a time, then maps each query block and reads it out as
+    (map_q(q) . KV) / (map_q(q) . z + DENOM_EPS).  No N x N matrix and no
+    whole (N, 2d) feature array is formed, so the weights field stays
+    empty.  Cost O(N * d' * d_v); see _stream for the blocks.
     """
     Q, K, V = _check_qkv(Q, K, V)
-    map_q, map_k = feature_maps(spec)
-    fq, fk = map_q(Q), map_k(K)
-    kv = fk.T @ V
-    z = fk.sum(axis=0)
-    return AttentionResult((fq @ kv) / (fq @ z + DENOM_EPS)[:, None])
+    return _stream(Q, K, V, spec, causal=False)
 
 
 def nala_causal_recurrent(Q, K, V, spec: KernelSpec) -> AttentionResult:
     """Causal kernel attention as a chunkwise left-to-right state recurrence.
 
-    Rows go in chunks of C = _CAUSAL_CHUNK = 64.  Inside a chunk, row t
-    reads the earlier chunks through the carried state
-    S = sum map_k(k_i) (x) v_i and z = sum map_k(k_i), and the chunk's own
-    rows i <= t through a masked C x C similarity block; the chunk is then
-    folded into S and z.  O(N) in sequence length for fixed C, with one
-    numpy call per chunk instead of per token; 64 balances that call
-    overhead against the in-chunk block (see _CAUSAL_CHUNK).  Row t
-    reproduces the causal quadratic evaluator's row t.
+    Rows go in chunks of C = _CAUSAL_CHUNK = 64, mapped one block of whole
+    chunks at a time.  Inside a chunk, row t reads the earlier chunks
+    through the carried state S = sum map_k(k_i) (x) v_i and
+    z = sum map_k(k_i), and the chunk's own rows i <= t through a masked
+    C x C similarity block; the chunk is then folded into S and z.  O(N) in
+    sequence length for fixed C, with one numpy call per chunk instead of
+    per token; 64 balances that call overhead against the in-chunk block
+    (see _CAUSAL_CHUNK).  Row t reproduces the causal quadratic evaluator's
+    row t.
     """
     Q, K, V = _check_qkv(Q, K, V)
     if Q.shape[0] != K.shape[0]:
         raise DimensionMismatch("causal attention requires one query per key")
-    map_q, map_k = feature_maps(spec)
-    fq, fk = map_q(Q), map_k(K)
-    state = np.zeros((fk.shape[1], V.shape[1]))
-    zsum = np.zeros(fk.shape[1])
-    out = np.empty((Q.shape[0], V.shape[1]))
-    for i in range(0, Q.shape[0], _CAUSAL_CHUNK):
-        rows = slice(i, i + _CAUSAL_CHUNK)
-        fq_c, fk_c, v_c = fq[rows], fk[rows], V[rows]
-        sims = np.tril(fq_c @ fk_c.T)
-        num = fq_c @ state + sims @ v_c
-        den = fq_c @ zsum + sims.sum(axis=1) + DENOM_EPS
-        out[rows] = num / den[:, None]
-        state += fk_c.T @ v_c
-        zsum += fk_c.sum(axis=0)
-    return AttentionResult(out)
+    return _stream(Q, K, V, spec, causal=True)
 
 
 def layer_norm(x, gain=1.0, bias=0.0) -> np.ndarray:

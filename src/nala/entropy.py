@@ -35,6 +35,7 @@ from .attention import nala_quadratic, row_entropy_nats, softmax_attention
 from .errors import (
     DegenerateSequence,
     InvalidPerturbation,
+    NonFinite,
     NonPositiveSum,
     WrongKernel,
 )
@@ -58,7 +59,7 @@ def pse(values) -> float | np.ndarray:
     if x.ndim not in (1, 2):
         raise ValueError(f"expected a 1-D sequence or a 2-D array of rows, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("sequence entries must be finite")
+        raise NonFinite("sequence entries must be finite")
     if np.any(x < 0):
         raise ValueError("sequence entries must be nonnegative")
     _, e = np.frexp(x.max(axis=-1, keepdims=True, initial=0.0))

@@ -5,6 +5,10 @@ class ZeroVector(ValueError):
     """A zero vector was passed where a norm-direction split is required."""
 
 
+class NonFinite(ValueError):
+    """An input entry is NaN or infinite."""
+
+
 class DimensionMismatch(ValueError):
     """Operand shapes are incompatible."""
 

@@ -120,5 +120,11 @@ def jac_phi_k(k, spec: KernelSpec) -> np.ndarray:
 
 
 def max_rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
-    """Max-norm difference relative to max(1, max-norm of the reference fd)."""
-    return float(np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()))
+    """Max-norm difference relative to max(1, max-norm of the reference fd).
+
+    One temporary: the difference, made absolute in place.  abs is exact,
+    so max |fd| is max(fd.max(), -fd.min()) without a second array.
+    """
+    diff = analytic - fd
+    np.abs(diff, out=diff)
+    return float(diff.max() / max(1.0, fd.max(), -fd.min()))

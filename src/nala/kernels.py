@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WrongKernel, ZeroVector
+from .errors import NonFinite, WrongKernel, ZeroVector
 
 
 class KernelKind(str, enum.Enum):
@@ -96,9 +96,10 @@ def direction_squash(u):
 
 
 def _norm_direction(x):
-    """Rowwise (norm, direction) over the last axis; rejects all-zero rows.
+    """Rowwise (norm, direction) over the last axis.
 
-    A row whose squared norm leaves the float64 normal range is first
+    Raises ZeroVector on an all-zero row and NonFinite on a row with a NaN
+    or infinite entry.  A row whose squared norm leaves the float64 normal range is first
     divided by the power of two at its largest |entry|, which is exact, so
     every non-zero finite row has a direction.
     """
@@ -108,6 +109,10 @@ def _norm_direction(x):
     if not out_of_range.any():
         norms = np.sqrt(sq)
         return norms, x / norms
+    # A non-finite entry makes its row's squared norm NaN or inf, so only
+    # this branch can meet one.
+    if not np.isfinite(x).all():
+        raise NonFinite("feature map requires finite entries")
     _, e = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
     e = np.where(out_of_range, e, 0)
     x = np.ldexp(x, -e)

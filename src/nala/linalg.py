@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 
 
 def as_vector(x) -> np.ndarray:
@@ -20,7 +20,7 @@ def as_vector(x) -> np.ndarray:
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+        raise NonFinite("vector entries must be finite")
     return v
 
 
@@ -34,7 +34,7 @@ def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if cols is not None and m.shape[1] != cols:
         raise DimensionMismatch(f"expected {cols} cols, got {m.shape[1]}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFinite("matrix entries must be finite")
     return m
 
 

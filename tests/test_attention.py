@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nala import attention
 from nala.attention import (
     _CAUSAL_CHUNK as C,
+    DENOM_EPS,
     block_forward,
     gelu,
     layer_norm,
@@ -22,8 +24,8 @@ from nala.attention import (
 )
 from nala.cli import max_rel_dev
 from nala.entropy import pse
-from nala.errors import DimensionMismatch, ZeroVector
-from nala.kernels import KernelKind, KernelSpec
+from nala.errors import DimensionMismatch, NonFinite, ZeroVector
+from nala.kernels import KernelKind, KernelSpec, phi_k, phi_q
 from nala.linalg import make_rng
 
 
@@ -254,6 +256,87 @@ class TestCausalRecurrent:
         rec = nala_causal_recurrent(Q, K, V, spec).output
         np.testing.assert_array_equal(rec[1], np.zeros(2))
         assert max_rel_dev(rec, nala_quadratic(Q, K, V, spec, causal=True).output) <= 1e-10
+
+
+def longdouble_reference(Q, K, V, spec, causal):
+    """Kernel attention from the float64 features, summed in np.longdouble.
+
+    The features are taken once in float64 and DENOM_EPS stays in the
+    denominator, so the reference judges only the evaluators' summation.
+    Causal sums are running sums, 512 rows of cumsum at a time.
+    """
+    fq = phi_q(Q, spec).astype(np.longdouble)
+    fk = phi_k(K, spec).astype(np.longdouble)
+    V = V.astype(np.longdouble)
+    if not causal:
+        return (fq @ (fk.T @ V)) / (fq @ fk.sum(axis=0) + DENOM_EPS)[:, None]
+    num = np.empty(V.shape, dtype=np.longdouble)
+    den = np.empty(V.shape[0], dtype=np.longdouble)
+    state, z = 0, 0
+    for i in range(0, V.shape[0], 512):
+        rows = slice(i, i + 512)
+        kv = state + np.cumsum(fk[rows, :, None] * V[rows, None, :], axis=0)
+        zs = z + np.cumsum(fk[rows], axis=0)
+        num[rows] = np.einsum("tf,tfv->tv", fq[rows], kv)
+        den[rows] = np.einsum("tf,tf->t", fq[rows], zs)
+        state, z = kv[-1], zs[-1]
+    return num / (den + DENOM_EPS)[:, None]
+
+
+class TestBlockLoop:
+    """Both O(N) forms stream blocks of rows through one fold and one readout."""
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_long_sequence_matches_longdouble_sums(self, causal):
+        # 2^14 + 37 rows end in a partial block; V + 3 keeps every output
+        # row away from zero.  Measured: linear 3.7e-15, causal 1.1e-15.
+        rng = make_rng(41)
+        spec = KernelSpec(lam=2.0)
+        Q, K, V = rng.standard_normal((3, 2**14 + 37, 8))
+        V += 3.0
+        evaluate = nala_causal_recurrent if causal else nala_linear
+        ref = longdouble_reference(Q, K, V, spec, causal)
+        out = evaluate(Q, K, V, spec).output
+        assert float(np.abs(out - ref).max() / np.abs(ref).max()) <= 1e-13
+
+    def test_cross_attention_over_several_blocks(self):
+        rng = make_rng(42)
+        spec = KernelSpec(lam=2.0)
+        Q = rng.standard_normal((3000, 32))
+        K, V = rng.standard_normal((2, 1500, 32))
+        lin = nala_linear(Q, K, V, spec).output
+        assert max_rel_dev(lin, nala_quadratic(Q, K, V, spec).output) <= 1e-10
+
+    def test_causal_over_several_blocks(self):
+        # 1024-row blocks at d = 32: two whole blocks, then a partial one
+        # that ends in a partial chunk
+        rng = make_rng(43)
+        spec = KernelSpec(lam=2.0)
+        Q, K, V = rng.standard_normal((3, 2500, 32))
+        rec = nala_causal_recurrent(Q, K, V, spec).output
+        assert max_rel_dev(rec, nala_quadratic(Q, K, V, spec, causal=True).output) <= 1e-10
+
+    @pytest.mark.parametrize("elems", [1, 100 * 8, 1000 * 8])
+    def test_causal_output_independent_of_block_rows(self, monkeypatch, elems):
+        # blocks of 1 (raised to one chunk), 100 (rounded down to one
+        # chunk) and 1000 (rounded down to 960) rows hold whole chunks, so
+        # the chunks and the output are those of the default blocks
+        rng = make_rng(44)
+        spec = KernelSpec(lam=2.0)
+        Q, K, V = rng.standard_normal((3, 2100, 8))
+        default = nala_causal_recurrent(Q, K, V, spec).output
+        monkeypatch.setattr(attention, "_MAP_BLOCK_ELEMS", elems)
+        np.testing.assert_array_equal(nala_causal_recurrent(Q, K, V, spec).output, default)
+
+    @pytest.mark.parametrize("evaluate", [nala_linear, nala_causal_recurrent, nala_quadratic])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, evaluate, bad):
+        rng = make_rng(45)
+        for i in range(3):
+            qkv = list(rng.standard_normal((3, 5, 4)))
+            qkv[i][2, 1] = bad
+            with pytest.raises(NonFinite):
+                evaluate(*qkv, KernelSpec())
 
 
 class TestScaleCancellation:

@@ -23,6 +23,7 @@ from nala.entropy import (
 from nala.errors import (
     DegenerateSequence,
     InvalidPerturbation,
+    NonFinite,
     NonPositiveSum,
     WrongKernel,
 )
@@ -51,7 +52,7 @@ class TestPse:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entry_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NonFinite, match="finite"):
             pse([1.0, bad])
 
     def test_rows_reduce_independently(self):
@@ -125,7 +126,7 @@ class TestPseOfExp:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entry_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NonFinite, match="finite"):
             pse_of_exp(np.array([1.0, bad]), 2.0)
 
     def test_scaled_row_overflows(self):
@@ -178,7 +179,7 @@ class TestTheorem1Scan:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_rejected(self, bad):
         # without the check a nan gives all-nan entropies and no threshold
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NonFinite, match="finite"):
             theorem1_scan(np.array([1.0, bad, 2.0]), np.geomspace(0.1, 20.0, 16))
 
     def test_overflowing_scales_concentrate_instead_of_nan(self):

@@ -138,3 +138,23 @@ class TestKeyJacobian:
             k = admissible_point(rng, 6, direction=False)
             fd = finite_diff_jacobian(lambda v: phi_k(v, spec), k, 1e-5)
             assert max_rel_error(jac_phi_k(k, spec), fd) <= 1e-6
+
+
+class TestMaxRelError:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_equals_two_temporary_formula(self, scale):
+        # max(fd.max(), -fd.min()) is max |fd| bit for bit, since abs is exact
+        rng = make_rng(9)
+        a, fd = scale * rng.standard_normal((2, 64, 32))
+        fd[3, 4] = -5.0 * scale  # the largest |fd| is a negative entry
+        want = float(np.abs(a - fd).max() / max(1.0, np.abs(fd).max()))
+        assert max_rel_error(a, fd) == want
+        assert max_rel_error(-a, -fd) == want
+
+    def test_leaves_its_arguments_unchanged(self):
+        rng = make_rng(10)
+        a, fd = rng.standard_normal((2, 8, 4))
+        a0, fd0 = a.copy(), fd.copy()
+        max_rel_error(a, fd)
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(fd, fd0)

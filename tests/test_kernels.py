@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nala.errors import WrongKernel, ZeroVector
+from nala.errors import NonFinite, WrongKernel, ZeroVector
 from nala.kernels import (
     _MAP_BLOCK_ELEMS,
     KernelKind,
@@ -313,6 +313,29 @@ class TestNormSplitAtExtremeScales:
             _norm_direction(x)
         with pytest.raises(ZeroVector):
             phi_k(x, KernelSpec())
+
+
+class TestNonFiniteRows:
+    """A NaN or infinite entry raises NonFinite from every norm-aware map."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_maps_and_similarity_raise(self, bad):
+        row = np.array([bad, 1.0, -2.0])
+        spec = KernelSpec()
+        for fn in (phi_q, phi_k):
+            with pytest.raises(NonFinite):
+                fn(row, spec)
+            with pytest.raises(NonFinite):
+                fn(np.stack([np.ones(3), row]), spec)
+        with pytest.raises(NonFinite):
+            pairwise_similarity(row, np.ones(3), spec)
+        with pytest.raises(NonFinite):
+            pairwise_similarity(np.ones(3), row, spec)
+
+    def test_finite_row_with_overflowing_norm_still_maps(self):
+        # the squared norm of 1e200 overflows, as for an infinite entry
+        out = phi_k(np.array([1e200, 0.0]), KernelSpec(lam=1.0))
+        assert np.all(np.isfinite(out)) and out[0] > 1e199
 
 
 class TestBaselineMap:
