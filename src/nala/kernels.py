@@ -99,9 +99,9 @@ def _norm_direction(x):
     """Rowwise (norm, direction) over the last axis.
 
     Raises ZeroVector on an all-zero row and NonFinite on a row with a NaN
-    or infinite entry.  A row whose squared norm leaves the float64 normal range is first
-    divided by the power of two at its largest |entry|, which is exact, so
-    every non-zero finite row has a direction.
+    or infinite entry.  A row whose squared norm leaves the float64 normal
+    range is first divided by the power of two at its largest |entry|,
+    which is exact, so every non-zero finite row has a direction.
     """
     x = np.asarray(x, dtype=np.float64)
     sq = np.einsum("...i,...i->...", x, x)[..., None]
@@ -133,7 +133,20 @@ def _norm_direction(x):
 #:   phi_q*phi_k, 100k x 16 rows   114/142     107/137     112/140     118/137
 #:                                 110/139     110/138     105/135     110/144
 #:
-#: No size wins at both shapes beyond the noise, so the value stays.
+#: No size wins at both shapes beyond the noise, so the value stays.  (The
+#: nala_linear rows predate its block loop: it then mapped Q and K whole.)
+#:
+#: It also sets the rows per block of the O(N) evaluators' block loop
+#: (attention._stream), max(1, _MAP_BLOCK_ELEMS // d): 1024 at d=32.
+#: Those rows, swept at N=16384, d=32 with the map chunks left at 32768
+#: elements (one BLAS thread, interleaved, two sweeps of 30 calls, ms,
+#: min / median):
+#:
+#:   rows     256        512        1024       2048       4096       16384
+#:            25.8/28.1  24.4/26.4  24.4/27.0  25.1/27.2  26.3/29.0  32.0/35.6
+#:            25.3/36.9  24.5/35.1  24.6/33.0  25.3/32.4  26.7/34.1  32.3/41.7
+#:
+#: 512 and 1024 rows tie; one block of all 16384 rows is about 30% slower.
 _MAP_BLOCK_ELEMS = 32768
 
 
