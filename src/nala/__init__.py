@@ -15,7 +15,6 @@ from .entropy import (
     EntropyScanRecord,
     concavity_probe,
     norm_entropy_experiment,
-    prop2_invariance_check,
     pse,
     pse_of_exp,
     theorem1_scan,
@@ -28,7 +27,6 @@ from .errors import (
     NonFinite,
     NonPositiveSum,
     WrongKernel,
-    ZeroVector,
 )
 from .gradcheck import finite_diff_jacobian, jac_phi_k, jac_phi_q
 from .kernels import (

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, xlogy
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 from .kernels import _MAP_BLOCK_ELEMS, KernelSpec, feature_maps
 from .linalg import as_matrix
 
@@ -177,11 +177,26 @@ def nala_causal_recurrent(Q, K, V, spec: KernelSpec) -> AttentionResult:
 
 
 def layer_norm(x, gain=1.0, bias=0.0) -> np.ndarray:
-    """Rowwise (x - mean) / sqrt(var + 1e-6) * gain + bias, population variance."""
+    """Rowwise (x - mean) / sqrt(var + 1e-6) * gain + bias, population variance.
+
+    A row whose variance overflows is divided by the power of two at its
+    largest |entry| (exact), with the 1e-6 scaled to match; NaN or inf
+    raises NonFinite.
+    """
     x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rescaled below
+        var = x.var(axis=-1, keepdims=True)
+    e = 0
+    overflow = ~np.isfinite(var)
+    if overflow.any():
+        if not np.isfinite(x).all():
+            raise NonFinite("layer_norm requires finite entries")
+        _, e = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
+        e = np.where(overflow, e, 0)
+        x = np.ldexp(x, -e)
+        var = x.var(axis=-1, keepdims=True)
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + _LN_EPS) * gain + bias
+    return (x - mean) / np.sqrt(var + np.ldexp(_LN_EPS, -2 * e)) * gain + bias
 
 
 def silu(x):
@@ -256,7 +271,8 @@ def block_forward(X, params: BlockParams, spec: KernelSpec, causal: bool = False
     causal, else the linear form), the head concatenation is layer-normed,
     gated with silu(G), projected by w_o, and added back to the input; a
     gelu feed-forward with its own pre-norm forms the second residual
-    branch.
+    branch.  A zero query or key row, such as a constant input row
+    layer-normed to a zero bias, follows the zero-row rule of nala.kernels.
     """
     X = as_matrix(X)
     if X.shape[1] != params.dim:
@@ -264,25 +280,18 @@ def block_forward(X, params: BlockParams, spec: KernelSpec, causal: bool = False
     h = layer_norm(X, params.ln1_gain, params.ln1_bias)
     Q, K, V, G = h @ params.w_q, h @ params.w_k, h @ params.w_v, h @ params.w_g
 
-    if not Q.any() and not K.any():
-        # Degenerate projections (e.g. all-zero weights): the kernel has no
-        # directions to work with, so the attention branch contributes zero
-        # and the block reduces to the identity when w_o/ffn are zero too.
-        attn = np.zeros_like(X)
-    else:
-        evaluate = nala_causal_recurrent if causal else nala_linear
-        attn = np.concatenate(
-            [
-                evaluate(qh, kh, vh, spec).output
-                for qh, kh, vh in zip(
-                    np.split(Q, params.heads, axis=1),
-                    np.split(K, params.heads, axis=1),
-                    np.split(V, params.heads, axis=1),
-                )
-            ],
-            axis=1,
-        )
-
+    evaluate = nala_causal_recurrent if causal else nala_linear
+    attn = np.concatenate(
+        [
+            evaluate(qh, kh, vh, spec).output
+            for qh, kh, vh in zip(
+                np.split(Q, params.heads, axis=1),
+                np.split(K, params.heads, axis=1),
+                np.split(V, params.heads, axis=1),
+            )
+        ],
+        axis=1,
+    )
     gated = layer_norm(attn) * silu(G)
     Y = X + gated @ params.w_o
     Z = Y + gelu(layer_norm(Y, params.ln2_gain, params.ln2_bias) @ params.ffn_w1) @ params.ffn_w2

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import concavity_probe, entropy_deviation_scan, prop2_invariance_check, theorem1_scan
+from .entropy import concavity_probe, entropy_deviation_scan, theorem1_scan
 from .gradcheck import admissible_point, finite_diff_jacobian, jac_phi_k, jac_phi_q, max_rel_error
-from .kernels import KernelKind, KernelSpec, phi_k, phi_q
+from .kernels import HOMOGENEOUS_KINDS, KernelKind, KernelSpec, phi_k, phi_q
 
 #: Largest accepted relative Jacobian error; central differences carry ~1e-11.
 GRAD_TOL = 1e-6
@@ -51,14 +51,15 @@ def scale_invariance_split(
     u /= np.linalg.norm(u)
     sweep = np.geomspace(0.5, 8.0, 16)
     results = []
-    for kind in (KernelKind.RELU, KernelKind.FIXED_POWER):
-        dev = prop2_invariance_check(u, K, KernelSpec(kind=kind, lam=lam), sweep)
-        results.append(CheckResult(f"{kind.value} attention entropy is query-scale invariant",
-                                   dev <= 1e-12, dev, 1e-12,
-                                   f"max deviation {dev:.3e} over scales [0.5, 8]"))
-    _, dev = entropy_deviation_scan(u, K, KernelSpec(kind=KernelKind.NALA, lam=lam), sweep)
-    results.append(CheckResult("nala attention entropy depends on the query norm", dev > 1e-3,
-                               dev, 1e-3, f"max deviation {dev:.3e} over scales [0.5, 8]"))
+    for kind in (KernelKind.RELU, KernelKind.FIXED_POWER, KernelKind.NALA):
+        _, dev = entropy_deviation_scan(u, K, KernelSpec(kind=kind, lam=lam), sweep)
+        detail = f"max deviation {dev:.3e} over scales [0.5, 8]"
+        if kind in HOMOGENEOUS_KINDS:
+            results.append(CheckResult(f"{kind.value} attention entropy is query-scale invariant",
+                                       dev <= 1e-12, dev, 1e-12, detail))
+        else:
+            results.append(CheckResult("nala attention entropy depends on the query norm",
+                                       dev > 1e-3, dev, 1e-3, detail))
     return results
 
 

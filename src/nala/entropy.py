@@ -32,14 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import nala_quadratic, row_entropy_nats, softmax_attention
-from .errors import (
-    DegenerateSequence,
-    InvalidPerturbation,
-    NonFinite,
-    NonPositiveSum,
-    WrongKernel,
-)
-from .kernels import HOMOGENEOUS_KINDS, KernelSpec
+from .errors import DegenerateSequence, InvalidPerturbation, NonFinite, NonPositiveSum
+from .kernels import KernelSpec
 from .linalg import as_vector
 
 #: Pseudo-kernel id used when a scan includes the softmax oracle.
@@ -171,23 +165,6 @@ def entropy_deviation_scan(q_dir, K, spec: KernelSpec | None, c_grid) -> tuple[n
     c = np.asarray(c_grid, dtype=np.float64)
     ents = _row_entropies(c[:, None] * u, K, spec)
     return ents, float(ents.max() - ents.min())
-
-
-def prop2_invariance_check(q_dir, K, spec: KernelSpec, c_grid) -> float:
-    """Max entropy deviation across a query-scale sweep for a homogeneous kernel.
-
-    Only positively homogeneous kinds are admitted: for them the scale
-    factors out of every similarity and cancels in the row normalization,
-    so the returned deviation is zero up to roundoff.  Other kinds are
-    rejected; sweep those with entropy_deviation_scan and observe that the
-    deviation is genuinely nonzero.
-    """
-    if spec.kind not in HOMOGENEOUS_KINDS:
-        raise WrongKernel(
-            f"scale invariance holds only for homogeneous kernels, got {spec.kind.value}"
-        )
-    _, deviation = entropy_deviation_scan(q_dir, K, spec, c_grid)
-    return deviation
 
 
 @dataclass

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class ZeroVector(ValueError):
-    """A zero vector was passed where a norm-direction split is required."""
-
-
 class NonFinite(ValueError):
     """An input entry is NaN or infinite."""
 

@@ -23,6 +23,11 @@ and one chunk loop, which maps any (..., d) input as rows.  The split
 rescales out-of-range rows by an exact power of two, so every non-zero
 finite row has a direction.
 
+A zero row maps to zero features under both maps.  For keys this is the
+limit of phi_k(c*k) = c**lambda * phi_k(k), so a zero key adds nothing to
+any attention sum.  phi_q(c*u) has no limit as c -> 0, so for queries it
+is a convention: the row's similarities are zero, and so is its output.
+
 The [m cos a; m sin a] pair is computed from the half-angle identity: with
 t = tan(a/2), cos a = (1 - t^2) / (1 + t^2) and sin a = 2t / (1 + t^2), so
 a map costs one tan and a few multiplies and adds per entry.  numpy runs
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, WrongKernel, ZeroVector
+from .errors import DimensionMismatch, NonFinite, WrongKernel
 
 
 class KernelKind(str, enum.Enum):
@@ -98,10 +103,11 @@ def direction_squash(u):
 def _norm_direction(x):
     """Rowwise (norm, direction) over the last axis.
 
-    Raises ZeroVector on an all-zero row and NonFinite on a row with a NaN
-    or infinite entry.  A row whose squared norm leaves the float64 normal
-    range is first divided by the power of two at its largest |entry|,
-    which is exact, so every non-zero finite row has a direction.
+    An all-zero row gets norm 0 and direction 0; a row with a NaN or
+    infinite entry raises NonFinite.  A row whose squared norm leaves the
+    float64 normal range is first divided by the power of two at its
+    largest |entry|, which is exact, so every non-zero finite row has a
+    direction.
     """
     x = np.asarray(x, dtype=np.float64)
     sq = np.einsum("...i,...i->...", x, x)[..., None]
@@ -117,9 +123,7 @@ def _norm_direction(x):
     e = np.where(out_of_range, e, 0)
     x = np.ldexp(x, -e)
     norms = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
-    if np.any(norms == 0):
-        raise ZeroVector("feature map requires non-zero vectors")
-    return np.ldexp(norms, e), x / norms
+    return np.ldexp(norms, e), np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
 #: Elements per chunk of the map driver, so every temporary stays
@@ -188,10 +192,12 @@ def _map_rows_into(x, spec: KernelSpec, query: bool, out):
 def _map(x, spec: KernelSpec, query: bool) -> np.ndarray:
     """Map any (..., d) input as rows, _MAP_BLOCK_ELEMS elements per chunk."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise DimensionMismatch(f"feature map requires rows of at least one entry, got {x.shape}")
     d = x.shape[-1]
-    rows = x.reshape(math.prod(x.shape[:-1]), d)  # reshape(-1, 0) is ambiguous
+    rows = x.reshape(-1, d)
     out = np.empty((rows.shape[0], 2 * d))
-    step = max(1, _MAP_BLOCK_ELEMS // max(d, 1))
+    step = max(1, _MAP_BLOCK_ELEMS // d)
     for i in range(0, rows.shape[0], step):
         _map_rows_into(rows[i : i + step], spec, query, out[i : i + step])
     return out.reshape(x.shape[:-1] + (2 * d,))
@@ -222,8 +228,10 @@ def phi_k(k, spec: KernelSpec) -> np.ndarray:
 
 
 def baseline_map(x, spec: KernelSpec) -> np.ndarray:
-    """Elementwise non-negative control maps; input (..., d) -> output (..., d)."""
+    """Elementwise non-negative control maps, (..., d) -> (..., d); NonFinite on NaN or inf."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise NonFinite("feature map requires finite entries")
     if spec.kind is KernelKind.RELU:
         return np.maximum(x, 0.0)
     if spec.kind is KernelKind.ONE_PLUS_ELU:

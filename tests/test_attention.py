@@ -24,7 +24,7 @@ from nala.attention import (
 )
 from nala.cli import max_rel_dev
 from nala.entropy import pse
-from nala.errors import DimensionMismatch, NonFinite, ZeroVector
+from nala.errors import DimensionMismatch, NonFinite
 from nala.kernels import KernelKind, KernelSpec, phi_k, phi_q
 from nala.linalg import make_rng
 
@@ -131,11 +131,15 @@ class TestQuadraticEvaluator:
         with pytest.raises(DimensionMismatch):
             nala_quadratic(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 2)), KernelSpec())
 
-    def test_zero_query_row_rejected(self):
-        Q = np.zeros((2, 4))
-        K = np.ones((2, 4))
-        with pytest.raises(ZeroVector):
-            nala_quadratic(Q, K, K, KernelSpec())
+    def test_zero_query_row_gives_zero_output(self):
+        # a zero query maps to zero features: an all-zero similarity row
+        rng = make_rng(8)
+        Q, K, V = rng.standard_normal((3, 3, 4))
+        Q[1] = 0.0
+        out = nala_quadratic(Q, K, V, KernelSpec()).output
+        np.testing.assert_array_equal(out[1], np.zeros(4))
+        rest = nala_quadratic(Q[[0, 2]], K, V, KernelSpec()).output
+        np.testing.assert_array_equal(out[[0, 2]], rest)
 
 
 class TestLinearEvaluator:
@@ -339,6 +343,36 @@ class TestBlockLoop:
                 evaluate(*qkv, KernelSpec())
 
 
+class TestZeroRows:
+    """A zero key row maps to zero features, so it adds nothing to any output row."""
+
+    @pytest.mark.parametrize("evaluate", [nala_linear, nala_quadratic])
+    @pytest.mark.parametrize("n", [64, 3000])
+    def test_zero_keys_equal_dropped_keys(self, evaluate, n):
+        rng = make_rng(46)
+        spec = KernelSpec(lam=2.0)
+        Q, K, V = rng.standard_normal((3, n, 8))
+        V += 3.0
+        zeroed = np.arange(n) % 7 == 0
+        K[zeroed] = 0.0
+        dropped = evaluate(Q, K[~zeroed], V[~zeroed], spec).output
+        assert max_rel_dev(evaluate(Q, K, V, spec).output, dropped) <= 1e-14
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_block_with_zero_and_constant_rows(self, causal):
+        # layer_norm sends both rows to the zero bias, so their queries and
+        # keys are zero; the causal prefix is the block run on the prefix
+        rng = make_rng(47)
+        params = random_block_params(rng, 16, 4)
+        X = rng.standard_normal((40, 16))
+        X[3], X[11] = 0.0, 2.5
+        Z = block_forward(X, params, KernelSpec(), causal=causal)
+        assert np.all(np.isfinite(Z))
+        if causal:
+            prefix = block_forward(X[:20], params, KernelSpec(), causal=True)
+            np.testing.assert_array_equal(Z[:20], prefix)
+
+
 class TestScaleCancellation:
     """Row normalization cancels query scale exactly for homogeneous kernels."""
 
@@ -373,6 +407,17 @@ class TestLayerNorm:
         y = layer_norm(x)
         np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-9)
         np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-4)
+
+    @pytest.mark.parametrize("exponent", [600, 1000])
+    def test_overflowing_variance_rescaled(self, exponent):
+        x = make_rng(20).standard_normal((4, 8))
+        np.testing.assert_allclose(
+            layer_norm(np.ldexp(x, exponent)), layer_norm(np.ldexp(x, 20)), rtol=0, atol=1e-15
+        )
+
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(NonFinite):
+            layer_norm(np.array([[1.0, 2.0], [math.nan, 1.0]]))
 
     def test_zero_gain_returns_bias(self):
         rng = make_rng(19)
@@ -430,9 +475,14 @@ class TestBlockForward:
         with pytest.raises(DimensionMismatch):
             block_forward(np.ones((4, 8)), params, KernelSpec())
 
-    def test_zero_query_projection_with_live_keys_rejected(self):
+    def test_zero_query_projection_zeroes_attention_branch(self):
+        # zero queries read 0 from live keys, so the attention residual adds
+        # nothing and only the feed-forward branch remains
         rng = make_rng(25)
         params = random_block_params(rng, 16, 2)
         params.w_q = np.zeros_like(params.w_q)
-        with pytest.raises(ZeroVector):
-            block_forward(rng.standard_normal((4, 16)), params, KernelSpec())
+        X = rng.standard_normal((4, 16))
+        ffn = gelu(layer_norm(X, params.ln2_gain, params.ln2_bias) @ params.ffn_w1) @ params.ffn_w2
+        for causal in (False, True):
+            Z = block_forward(X, params, KernelSpec(), causal=causal)
+            np.testing.assert_array_equal(Z, X + ffn)

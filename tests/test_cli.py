@@ -1,6 +1,7 @@
 """Tests for the command-line interface and CSV emission."""
 
 import collections
+import hashlib
 import math
 import re
 import warnings
@@ -255,6 +256,21 @@ VERIFY_THEOREMS_SEED_7 = (
     "PASS kernel similarities are nonnegative: min similarity 9.699e-03 over 100000 Gaussian pairs\n"
     "PASS sign encoding preserves the trig-block norm: max |sum(cos^2+sin^2) - d| = 3.553e-15 over 1000 directions\n"
 )
+
+
+#: sha256 of block-demo's stdout at the default sizes.  A change to the block
+#: or the evaluators it runs must not move an output byte.
+BLOCK_DEMO_SHA256 = "6d79c2e4eab3827e0a14f5c53b48f19ca3662312113155c1b62190abdc84ab91"
+BLOCK_DEMO_CAUSAL_SHA256 = "25a65badcbab22cf5d261fa8192851eecd775e592dd6ac89c2aac6edb5a17b6a"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [([], BLOCK_DEMO_SHA256), (["--causal"], BLOCK_DEMO_CAUSAL_SHA256)],
+)
+def test_block_demo_bytes(argv, expected, capsys):
+    assert parse_and_dispatch(["block-demo", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
 
 @pytest.mark.parametrize(

@@ -15,18 +15,11 @@ from nala.entropy import (
     entropy_deviation_scan,
     norm_entropy_experiment,
     pearson,
-    prop2_invariance_check,
     pse,
     pse_of_exp,
     theorem1_scan,
 )
-from nala.errors import (
-    DegenerateSequence,
-    InvalidPerturbation,
-    NonFinite,
-    NonPositiveSum,
-    WrongKernel,
-)
+from nala.errors import DegenerateSequence, InvalidPerturbation, NonFinite, NonPositiveSum
 from nala.kernels import KernelSpec
 from nala.linalg import make_rng
 
@@ -202,27 +195,23 @@ class TestScaleInvarianceChecks:
         self.grid = np.geomspace(0.5, 8.0, 12)
 
     def test_relu_invariant(self):
-        dev = prop2_invariance_check(self.u, self.K, KernelSpec(kind="relu"), self.grid)
+        _, dev = entropy_deviation_scan(self.u, self.K, KernelSpec(kind="relu"), self.grid)
         assert dev <= 1e-12
 
     def test_fixed_power_invariant(self):
         spec = KernelSpec(kind="fixed_power", lam=3.0)
-        assert prop2_invariance_check(self.u, self.K, spec, self.grid) <= 1e-12
+        _, dev = entropy_deviation_scan(self.u, self.K, spec, self.grid)
+        assert dev <= 1e-12
 
     def test_norm_aware_kernel_rejected_here_but_varies(self):
-        with pytest.raises(WrongKernel):
-            prop2_invariance_check(self.u, self.K, KernelSpec(), self.grid)
+        # rejected as scale-invariant: the query norm moves the entropy
         _, dev = entropy_deviation_scan(self.u, self.K, KernelSpec(), self.grid)
         assert dev > 1e-3
 
     def test_one_plus_elu_rejected_and_genuinely_varies(self):
         # 1 + elu is not positively homogeneous (the +1 breaks scaling), so
-        # it does not qualify for the invariance check; its attention
-        # entropy measurably moves with the query scale.
-        with pytest.raises(WrongKernel):
-            prop2_invariance_check(
-                self.u, self.K, KernelSpec(kind="one_plus_elu"), self.grid
-            )
+        # it is not scale-invariant: its attention entropy measurably moves
+        # with the query scale.
         _, dev = entropy_deviation_scan(
             self.u, self.K, KernelSpec(kind="one_plus_elu"), self.grid
         )

@@ -62,9 +62,10 @@ class TestQueryJacobian:
             assert err <= 1e-6, f"rel error {err:.3e} at {q}"
 
     def test_near_singular_point_rejected(self):
-        q = np.array([1.0, 1e-5, 1.0, 1.0])
-        with pytest.raises(NearSingular):
-            jac_phi_q(q, KernelSpec())
+        # a zero query maps to zero features, but its Jacobian sits on the kink
+        for q in ([1.0, 1e-5, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]):
+            with pytest.raises(NearSingular):
+                jac_phi_q(np.array(q), KernelSpec())
 
     def test_coordinate_permutation_equivariance(self):
         rng = make_rng(4)
@@ -109,8 +110,9 @@ class TestKeyJacobian:
             assert err <= 1e-6, f"rel error {err:.3e} at {k}"
 
     def test_small_entry_rejected(self):
-        with pytest.raises(NearSingular):
-            jac_phi_k(np.array([1.0, 1e-8]), KernelSpec())
+        for k in ([1.0, 1e-8], [0.0, 0.0]):
+            with pytest.raises(NearSingular):
+                jac_phi_k(np.array(k), KernelSpec())
 
     def test_uniform_key_has_symmetric_angle_sensitivities(self):
         # equal entries give equal direction components, so every angle

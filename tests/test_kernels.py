@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nala.errors import NonFinite, WrongKernel, ZeroVector
+from nala.errors import DimensionMismatch, NonFinite, WrongKernel
 from nala.kernels import (
     _MAP_BLOCK_ELEMS,
     KernelKind,
@@ -109,9 +109,9 @@ class TestPhiQ:
                 phi_q(q, spec), scalar_phi_q(q, 2.0), rtol=1e-14, atol=1e-14
             )
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            phi_q(np.zeros(4), KernelSpec())
+    def test_zero_vector_maps_to_zero_features(self):
+        for fn in (phi_q, phi_k):
+            np.testing.assert_array_equal(fn(np.zeros(4), KernelSpec()), np.zeros(8))
 
     def test_wrong_kernel_rejected(self):
         with pytest.raises(WrongKernel):
@@ -254,8 +254,9 @@ class TestMapAccuracy:
 
     def test_zero_width_input_rejected(self):
         for fn in (phi_q, phi_k):
-            with pytest.raises(ZeroVector):
-                fn(np.zeros((3, 0)), KernelSpec())
+            for x in (np.zeros((3, 0)), np.float64(1.0)):
+                with pytest.raises(DimensionMismatch):
+                    fn(x, KernelSpec())
 
     def test_key_magnitude_near_float64_max_stays_finite(self):
         # |k_0|**4 ~ 1.5e308: doubling that magnitude would overflow
@@ -307,30 +308,38 @@ class TestNormSplitAtExtremeScales:
         norms, u = _norm_direction(np.array([1e-160]))
         assert u[0] == 1.0 and norms[0] == 1e-160
 
-    def test_zero_rows_still_rejected(self):
+    def test_zero_row_maps_to_zeros_beside_huge_row(self):
         x = np.array([[1e200, 1e200], [0.0, 0.0]])
-        with pytest.raises(ZeroVector):
-            _norm_direction(x)
-        with pytest.raises(ZeroVector):
-            phi_k(x, KernelSpec())
+        norms, u = _norm_direction(x)
+        big_norm, big_u = _norm_direction(x[0])
+        assert norms[1, 0] == 0.0 and not u[1].any()
+        np.testing.assert_array_equal(norms[0], big_norm)
+        np.testing.assert_array_equal(u[0], big_u)
+        spec = KernelSpec(lam=1.0)  # phi_k of the 1e200 row stays finite
+        for fn in (phi_q, phi_k):
+            out = fn(x, spec)
+            assert not out[1].any()
+            np.testing.assert_array_equal(out[0], fn(x[0], spec))
 
 
 class TestNonFiniteRows:
-    """A NaN or infinite entry raises NonFinite from every norm-aware map."""
+    """A NaN or infinite entry raises NonFinite from every feature map."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_maps_and_similarity_raise(self, bad):
         row = np.array([bad, 1.0, -2.0])
-        spec = KernelSpec()
-        for fn in (phi_q, phi_k):
+        for kind in KernelKind:
+            spec = KernelSpec(kind=kind)
+            maps = (phi_q, phi_k) if kind is KernelKind.NALA else (baseline_map,)
+            for fn in maps:
+                with pytest.raises(NonFinite):
+                    fn(row, spec)
+                with pytest.raises(NonFinite):
+                    fn(np.stack([np.ones(3), row]), spec)
             with pytest.raises(NonFinite):
-                fn(row, spec)
+                pairwise_similarity(row, np.ones(3), spec)
             with pytest.raises(NonFinite):
-                fn(np.stack([np.ones(3), row]), spec)
-        with pytest.raises(NonFinite):
-            pairwise_similarity(row, np.ones(3), spec)
-        with pytest.raises(NonFinite):
-            pairwise_similarity(np.ones(3), row, spec)
+                pairwise_similarity(np.ones(3), row, spec)
 
 
 class TestBaselineMap:
