@@ -204,7 +204,14 @@ def silu(x):
 
 
 def gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    """Exact erf gelu, 0.5 * x * (1 + erf(x / sqrt 2)), with one temporary reused in place."""
+    x = np.asarray(x, dtype=np.float64)
+    half = 0.5 * x
+    y = np.divide(x, np.sqrt(2.0), out=np.empty_like(x))
+    erf(y, out=y)
+    y += 1.0
+    y *= half
+    return y
 
 
 @dataclass

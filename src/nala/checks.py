@@ -68,7 +68,7 @@ def entropy_concavity(rng: np.random.Generator) -> CheckResult:
     worst = -np.inf
     for _ in range(50):
         x = rng.uniform(0.2, 1.2, size=12)
-        worst = max(worst, float(concavity_probe(x, range(x.size), [1e-4]).max()))
+        worst = float(np.maximum(worst, concavity_probe(x, range(x.size), [1e-4]).max()))
     return CheckResult("entropy second differences nonpositive on random rows", worst <= 1e-8,
                        worst, 1e-8, f"max second difference {worst:.3e} over 50 rows x 12 coords")
 
@@ -114,8 +114,9 @@ def jacobians(rng: np.random.Generator, d: int, spec: KernelSpec) -> list[CheckR
         k = admissible_point(rng, d, direction=False)
         fd_q = finite_diff_jacobian(lambda v: phi_q(v, spec), q)
         fd_k = finite_diff_jacobian(lambda v: phi_k(v, spec), k)
-        worst["phi_q"] = max(worst["phi_q"], max_rel_error(jac_phi_q(q, spec), fd_q))
-        worst["phi_k"] = max(worst["phi_k"], max_rel_error(jac_phi_k(k, spec), fd_k))
+        # np.maximum keeps a NaN error, which the builtin max would drop
+        worst["phi_q"] = float(np.maximum(worst["phi_q"], max_rel_error(jac_phi_q(q, spec), fd_q)))
+        worst["phi_k"] = float(np.maximum(worst["phi_k"], max_rel_error(jac_phi_k(k, spec), fd_k)))
     return [
         CheckResult(name, err <= GRAD_TOL, err, GRAD_TOL,
                     f"max rel error {err:.9g} over 50 points (tol {GRAD_TOL:g})")

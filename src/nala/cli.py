@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -133,7 +134,7 @@ def cmd_equiv_check(args) -> int:
         )
         records.append(EquivRecord(args.n, args.d, args.lam, dev))
     write_csv(records, args.out, EquivRecord)
-    worst = max(r.max_rel_dev for r in records)
+    worst = float(np.max([r.max_rel_dev for r in records]))  # a NaN record stays the worst
     print(f"max relative deviation quadratic vs linear: {worst:.9g}", file=sys.stderr)
     return 0 if worst <= EQUIV_TOL else 1
 
@@ -196,8 +197,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 

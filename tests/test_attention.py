@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from nala import attention
 from nala.attention import (
@@ -424,6 +425,20 @@ class TestLayerNorm:
         x = rng.standard_normal((2, 6))
         bias = rng.standard_normal(6)
         np.testing.assert_array_equal(layer_norm(x, 0.0, bias), np.tile(bias, (2, 1)))
+
+
+class TestGelu:
+    def test_equals_one_line_erf_form(self):
+        x = make_rng(23).standard_normal((64, 128)) * 4.0
+        x[0, :4] = [0.0, -0.0, 5e-324, -1e-310]
+        x[1, :2] = [1e300, -1e300]
+        want = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        np.testing.assert_array_equal(gelu(x), want)
+
+    def test_array_like_input(self):
+        # gelu(1) = Phi(1), the standard normal CDF at 1
+        assert gelu(1.0) == pytest.approx(0.8413447460685429, rel=1e-15)
+        np.testing.assert_array_equal(gelu([1.0, -2.0]), gelu(np.array([1.0, -2.0])))
 
 
 class TestBlockForward:

@@ -123,6 +123,12 @@ class TestExitCodes:
         code, _ = run(tmp_path, "entropy-scan", "--n", "-4")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--c-max"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_float_is_usage_error(self, tmp_path, capsys, flag, value):
+        code, _ = run(tmp_path, "entropy-scan", flag, value)
+        assert code == 2 and "expected a positive finite number" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert parse_and_dispatch(["--help"]) == 0
         assert "entropy-scan" in capsys.readouterr().out
@@ -166,12 +172,30 @@ class TestEquivCheck:
         assert all(float(line.split(",")[3]) <= 1e-10 for line in lines[1:])
 
 
+    def test_nan_record_fails(self, tmp_path, capsys):
+        # at lambda 500 one seed-7 trial's similarities overflow to a NaN output
+        with np.errstate(all="ignore"):
+            code, out = run(tmp_path, "equiv-check", "--lambda", "500")
+        assert code == 1
+        assert "nan" in [line.split(",")[3] for line in out.read_text().splitlines()[1:]]
+        assert capsys.readouterr().err.endswith("max relative deviation quadratic vs linear: nan\n")
+
+
 class TestGradCheck:
     def test_passes_and_reports(self, tmp_path):
         code, out = run(tmp_path, "grad-check", "--d", "8", name="report.txt")
         assert code == 0
         text = out.read_text()
         assert text.count("PASS") == 2 and "FAIL" not in text
+
+    def test_nan_jacobians_fail(self, tmp_path):
+        # at lambda 1e308 both Jacobians are NaN at every point
+        with np.errstate(all="ignore"):
+            code, out = run(tmp_path, "grad-check", "--lambda", "1e308", name="report.txt")
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert [line.split(":")[0] for line in lines] == ["FAIL phi_q", "FAIL phi_k"]
+        assert all("max rel error nan" in line for line in lines)
 
     def test_rejects_baseline_kernels(self, tmp_path):
         code, _ = run(tmp_path, "grad-check", "--kernel", "relu")

@@ -1,5 +1,6 @@
 """Tests for the feature maps: formulas, non-negativity, homogeneity structure."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -266,6 +267,47 @@ class TestMapAccuracy:
         assert np.abs(out).max() > 1e308
         assert np.all(np.isfinite(out))
         assert_matches_transcription(out, k, lam, key=True)
+
+
+#: sha256 of the phi_q and phi_k output bytes of _map_pin_bytes.  A change
+#: to the maps' arithmetic must not move a bit of their output.
+MAP_BYTES_SHA256 = "ecf590617acab8d2d4198c2ec92227d32f5db001e3d1e921c2122162c26220f1"
+
+
+def _map_pin_bytes():
+    """phi_q and phi_k bytes of one seeded input at lambda 0.5, 2 and 8.
+
+    The 3000 x 12 input spans two map chunks and holds a zero row and rows
+    at 1e-200 and 1e200.
+    """
+    x = make_rng(18).standard_normal((3000, 12))
+    x[0] = 0.0
+    x[1] *= 1e-200
+    x[2] *= 1e200
+    h = hashlib.sha256()
+    for lam in (0.5, 2.0, 8.0):
+        spec = KernelSpec(lam=lam)
+        # |k|**lam overflows on the 1e200 row for lam > 1
+        keys = x if lam < 1 else np.delete(x, 2, axis=0)
+        h.update(phi_q(x, spec).tobytes())
+        h.update(phi_k(keys, spec).tobytes())
+    return h.hexdigest()
+
+
+class TestMapBytes:
+    def test_output_bytes_pinned(self):
+        assert _map_pin_bytes() == MAP_BYTES_SHA256
+
+    def test_column_slice_equals_contiguous_copy(self):
+        # block_forward hands each head's column slice of Q and K to the maps
+        full = make_rng(19).standard_normal((2000, 64))
+        full[3] = 0.0
+        x = full[:, 16:48]
+        assert not x.flags.c_contiguous
+        for lam in (0.5, 2.0, 8.0):
+            spec = KernelSpec(lam=lam)
+            for fn in (phi_q, phi_k):
+                np.testing.assert_array_equal(fn(x, spec), fn(np.ascontiguousarray(x), spec))
 
 
 class TestNormSplitAtExtremeScales:
