@@ -204,9 +204,10 @@ def silu(x):
 
 
 def gelu(x):
-    """Exact erf gelu, 0.5 * x * (1 + erf(x / sqrt 2)), with one temporary reused in place."""
+    """Exact erf gelu, 0.5 * x * (1 + erf(x / sqrt 2)); erf and the rest run in place."""
     x = np.asarray(x, dtype=np.float64)
     half = 0.5 * x
+    # out= keeps a 0-d input an array, so erf can write into it
     y = np.divide(x, np.sqrt(2.0), out=np.empty_like(x))
     erf(y, out=y)
     y += 1.0
