@@ -13,9 +13,13 @@ Four evaluators share one contract (rows of Q attend over rows of K/V):
 The two O(N) forms are one block loop, _stream.  It maps K (and, causally,
 Q) one block of rows at a time, so no (N, 2d) feature array is formed, and
 folds each block into the running state S = sum map_k(k_i) (x) v_i,
-z = sum map_k(k_i).  Every output row leaves through one readout,
-num / (den + DENOM_EPS).  Any block order of the sums is exact up to
+z = sum map_k(k_i).  Any block order of the sums is exact up to
 summation order (Katharopoulos et al. 2020, arXiv 2006.16236).
+
+All three kernel evaluators normalize through one readout, _readout:
+num / (den + DENOM_EPS).  The O(N) forms pass it each block's output
+rows; the quadratic form passes it the similarity matrix and its row
+sums, so the oracle's weights leave through the same division.
 
 The quadratic form is the reference: the linear and recurrent forms must
 reproduce it to near machine precision, which the test suite enforces.
@@ -28,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, xlogy
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch
 from .kernels import _MAP_BLOCK_ELEMS, KernelSpec, feature_maps
-from .linalg import as_matrix
+from .linalg import as_matrix, rescale_rows
 
 #: Added to every normalization denominator so an all-zero similarity row
 #: yields a near-zero output instead of 0/0.  It is absolute, not relative to
@@ -49,12 +53,14 @@ class AttentionResult:
     weights: np.ndarray | None = None
 
 
-def _check_qkv(Q, K, V):
+def _check_qkv(Q, K, V, causal: bool = False):
     Q, K, V = as_matrix(Q), as_matrix(K), as_matrix(V)
     if Q.shape[1] != K.shape[1]:
         raise DimensionMismatch(f"Q cols {Q.shape[1]} != K cols {K.shape[1]}")
     if K.shape[0] != V.shape[0]:
         raise DimensionMismatch(f"K rows {K.shape[0]} != V rows {V.shape[0]}")
+    if causal and Q.shape[0] != K.shape[0]:
+        raise DimensionMismatch("causal attention requires one query per key")
     return Q, K, V
 
 
@@ -88,22 +94,23 @@ def softmax_attention(Q, K, V) -> AttentionResult:
 def nala_quadratic(Q, K, V, spec: KernelSpec, causal: bool = False) -> AttentionResult:
     """Kernel attention through the explicit similarity matrix.
 
-    S[t, i] = map_q(q_t) . map_k(k_i); weights are S row-normalized with an
-    epsilon-guarded denominator.  O(N^2) time and memory; this is the oracle
-    the O(N) forms are checked against.
+    S[t, i] = map_q(q_t) . map_k(k_i); weights are S row-normalized by
+    _readout, the O(N) forms' readout.  O(N^2) time and memory; this is the
+    oracle the O(N) forms are checked against.  Causal mode requires one
+    query per key.
     """
-    Q, K, V = _check_qkv(Q, K, V)
+    Q, K, V = _check_qkv(Q, K, V, causal)
     map_q, map_k = feature_maps(spec)
     sims = map_q(Q) @ map_k(K).T
     if causal:
         sims[~np.tri(Q.shape[0], K.shape[0], dtype=bool)] = 0.0
-    weights = np.divide(sims, sims.sum(axis=1, keepdims=True) + DENOM_EPS, out=sims)
+    weights = _readout(sims, sims.sum(axis=1))
     return AttentionResult(weights @ V, weights)
 
 
 def _readout(num, den) -> np.ndarray:
-    """Output rows num / den, each denominator guarded by DENOM_EPS."""
-    return num / (den + DENOM_EPS)[:, None]
+    """num / (den + DENOM_EPS) row by row, in place: num must be a fresh array."""
+    return np.divide(num, (den + DENOM_EPS)[:, None], out=num)
 
 
 def _stream(Q, K, V, spec: KernelSpec, causal: bool) -> AttentionResult:
@@ -170,18 +177,16 @@ def nala_causal_recurrent(Q, K, V, spec: KernelSpec) -> AttentionResult:
     (see _CAUSAL_CHUNK).  Row t reproduces the causal quadratic evaluator's
     row t.
     """
-    Q, K, V = _check_qkv(Q, K, V)
-    if Q.shape[0] != K.shape[0]:
-        raise DimensionMismatch("causal attention requires one query per key")
+    Q, K, V = _check_qkv(Q, K, V, causal=True)
     return _stream(Q, K, V, spec, causal=True)
 
 
 def layer_norm(x, gain=1.0, bias=0.0) -> np.ndarray:
     """Rowwise (x - mean) / sqrt(var + 1e-6) * gain + bias, population variance.
 
-    A row whose variance overflows is divided by the power of two at its
-    largest |entry| (exact), with the 1e-6 scaled to match; NaN or inf
-    raises NonFinite.
+    A row whose variance overflows is rescaled by linalg.rescale_rows, an
+    exact power of two, with the 1e-6 scaled to match; NaN or inf raises
+    NonFinite.
     """
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are rescaled below
@@ -189,11 +194,7 @@ def layer_norm(x, gain=1.0, bias=0.0) -> np.ndarray:
     e = 0
     overflow = ~np.isfinite(var)
     if overflow.any():
-        if not np.isfinite(x).all():
-            raise NonFinite("layer_norm requires finite entries")
-        _, e = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
-        e = np.where(overflow, e, 0)
-        x = np.ldexp(x, -e)
+        x, e = rescale_rows(x, overflow)
         var = x.var(axis=-1, keepdims=True)
     mean = x.mean(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + np.ldexp(_LN_EPS, -2 * e)) * gain + bias

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import nala_quadratic, row_entropy_nats, softmax_attention
-from .errors import DegenerateSequence, InvalidPerturbation, NonFinite, NonPositiveSum
+from .errors import DegenerateSequence, InvalidPerturbation, NonPositiveSum
 from .kernels import KernelSpec
-from .linalg import as_vector
+from .linalg import as_vector, rescale_rows
 
 #: Pseudo-kernel id used when a scan includes the softmax oracle.
 SOFTMAX_ID = "softmax"
@@ -44,24 +44,22 @@ def pse(values) -> float | np.ndarray:
     """Entropy in nats of a nonnegative sequence normalized by its sum.
 
     Reduces over the last axis: a 1-D sequence gives a float, an (m, N)
-    array gives m entropies, one per row.  Entries must be finite and
-    nonnegative, and every row must have a positive sum.  Each row is
-    first divided by the power of two at its maximum, which is exact, so
-    the sum cannot overflow.
+    array gives m entropies, one per row.  Entries must be finite
+    (NonFinite) and nonnegative (ValueError), and every row must have a
+    positive sum.  Each row is first rescaled by linalg.rescale_rows, an
+    exact power of two, so the sum cannot overflow.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected a 1-D sequence or a 2-D array of rows, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("sequence entries must be finite")
+    scaled, _ = rescale_rows(x)
+    # signs are read from x: the rescale can flush a tiny negative entry to -0.0
     if np.any(x < 0):
         raise ValueError("sequence entries must be nonnegative")
-    _, e = np.frexp(x.max(axis=-1, keepdims=True, initial=0.0))
-    x = np.ldexp(x, -e)
-    s = x.sum(axis=-1, keepdims=True)
+    s = scaled.sum(axis=-1, keepdims=True)
     if not np.all(s > 0):
         raise NonPositiveSum("all entries are zero; entropy is undefined")
-    h = row_entropy_nats(x / s)
+    h = row_entropy_nats(scaled / s)
     return float(h) if x.ndim == 1 else h
 
 

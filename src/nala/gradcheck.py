@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import NearSingular
+from .errors import NearSingular, NonFinite
 from .kernels import SQUASH_SCALE, KernelSpec, _norm_direction, direction_squash, power_exponent
 from .linalg import as_vector
 
@@ -85,13 +85,17 @@ def _angle_path(u, n):
 
 
 def _assemble(m, dm, a, da):
+    """The [cos; sin] blocks' Jacobian from the magnitude and angle paths; NonFinite if not finite."""
     top = dm * np.cos(a)[:, None] - (m * np.sin(a))[:, None] * da
     bottom = dm * np.sin(a)[:, None] + (m * np.cos(a))[:, None] * da
-    return np.vstack([top, bottom])
+    jac = np.vstack([top, bottom])
+    if not np.isfinite(jac).all():
+        raise NonFinite("Jacobian is not finite in float64 at this point and lambda")
+    return jac
 
 
 def jac_phi_q(q, spec: KernelSpec) -> np.ndarray:
-    """Analytic 2d x d Jacobian of the query feature map at q."""
+    """Analytic 2d x d Jacobian of the query feature map at q; NonFinite if it overflows."""
     norms, u = _norm_direction(as_vector(q))
     if _near_kink(u, direction=True):
         raise NearSingular(f"direction entry below {_kink_floor(u.size, True):g}; resample")
@@ -108,7 +112,7 @@ def jac_phi_q(q, spec: KernelSpec) -> np.ndarray:
 
 
 def jac_phi_k(k, spec: KernelSpec) -> np.ndarray:
-    """Analytic 2d x d Jacobian of the key feature map at k."""
+    """Analytic 2d x d Jacobian of the key feature map at k; NonFinite if it overflows."""
     k = as_vector(k)
     if _near_kink(k, direction=False):
         raise NearSingular(f"key entry below {SINGULAR_FLOOR:g}; resample the point")

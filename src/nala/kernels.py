@@ -19,9 +19,10 @@ differently:
   have opposite signs.
 
 Both maps run one fill, which differs between them only in the magnitude,
-and one chunk loop, which maps any (..., d) input as rows.  The split
-rescales out-of-range rows by an exact power of two, so every non-zero
-finite row has a direction.
+and one chunk loop, which maps any (..., d) input as rows, copied first
+if its rows are strided, so the bytes do not depend on the layout.  The
+split rescales out-of-range rows by an exact power of two
+(linalg.rescale_rows), so every non-zero finite row has a direction.
 
 A zero row maps to zero features under both maps.  For keys this is the
 limit of phi_k(c*k) = c**lambda * phi_k(k), so a zero key adds nothing to
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, WrongKernel
+from .linalg import rescale_rows
 
 
 class KernelKind(str, enum.Enum):
@@ -78,9 +80,9 @@ SQUASH_SCALE = math.pi / 4
 class KernelSpec:
     """Kernel identity plus its one hyperparameter.
 
-    lambda controls both the key exponent and the range of the query
-    exponent p(n) in [0.5*lambda, 1.5*lambda).  The angle bound of the sign
-    encoding is the module constant SQUASH_SCALE.
+    lambda, positive and finite, controls both the key exponent and the
+    range of the query exponent p(n) in [0.5*lambda, 1.5*lambda).  The
+    angle bound of the sign encoding is the module constant SQUASH_SCALE.
     """
 
     kind: KernelKind = KernelKind.NALA
@@ -88,8 +90,8 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", KernelKind(self.kind))
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
 
 def power_exponent(norm, spec: KernelSpec):
@@ -107,9 +109,8 @@ def _norm_direction(x):
 
     An all-zero row gets norm 0 and direction 0; a row with a NaN or
     infinite entry raises NonFinite.  A row whose squared norm leaves the
-    float64 normal range is first divided by the power of two at its
-    largest |entry|, which is exact, so every non-zero finite row has a
-    direction.
+    float64 normal range is first rescaled by linalg.rescale_rows, an
+    exact power of two, so every non-zero finite row has a direction.
     """
     x = np.asarray(x, dtype=np.float64)
     sq = np.einsum("...i,...i->...", x, x)[..., None]
@@ -118,12 +119,8 @@ def _norm_direction(x):
         norms = np.sqrt(sq)
         return norms, x / norms
     # A non-finite entry makes its row's squared norm NaN or inf, so only
-    # this branch can meet one.
-    if not np.isfinite(x).all():
-        raise NonFinite("feature map requires finite entries")
-    _, e = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
-    e = np.where(out_of_range, e, 0)
-    x = np.ldexp(x, -e)
+    # this branch can meet one; rescale_rows raises NonFinite for it.
+    x, e = rescale_rows(x, out_of_range)
     norms = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
     return np.ldexp(norms, e), np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
@@ -209,6 +206,10 @@ def _map(x, spec: KernelSpec, query: bool) -> np.ndarray:
         raise DimensionMismatch(f"feature map requires rows of at least one entry, got {x.shape}")
     d = x.shape[-1]
     rows = x.reshape(-1, d)
+    if rows.strides[-1] != rows.itemsize:
+        # the split's einsum row sum follows the memory layout, so a strided
+        # row would map to other bytes than its contiguous copy
+        rows = np.ascontiguousarray(rows)
     out = np.empty((rows.shape[0], 2 * d))
     step = max(1, _MAP_BLOCK_ELEMS // d)
     for i in range(0, rows.shape[0], step):

@@ -1,10 +1,12 @@
-"""Dense linear-algebra substrate: validated arrays and a seeded RNG.
+"""Dense linear-algebra substrate: validated arrays, an exact rescale and a seeded RNG.
 
 Everything downstream works on float64 numpy arrays.  The helpers here add
 the validation the rest of the package relies on (finite entries, shape
 agreement) and pin the random number generator to a fixed algorithm so
-that identical seeds give identical streams.  The norm-direction split of
-the feature maps lives with the maps, in nala.kernels.
+that identical seeds give identical streams.  rescale_rows is the one
+exact power-of-two rescale: the norm-direction split of the feature maps
+(nala.kernels), layer_norm (nala.attention) and pse (nala.entropy) run
+it on rows whose squares or sums would leave the float64 range.
 """
 
 from __future__ import annotations
@@ -36,6 +38,22 @@ def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix entries must be finite")
     return m
+
+
+def rescale_rows(x, rows=True) -> tuple[np.ndarray, np.ndarray]:
+    """(x / 2**e, e), e the frexp exponent of each row's largest |entry|; NonFinite on NaN or inf.
+
+    Rows are the last axis; e keeps it as a length-1 axis and is 0 where
+    the mask rows, broadcast against e, is False.  A scaled row has its
+    largest |entry| in [0.5, 1).  Dividing by a power of two is exact,
+    except for entries so far below their row's largest that they become
+    subnormal.
+    """
+    if not np.isfinite(x).all():
+        raise NonFinite("entries must be finite")
+    _, e = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
+    e = np.where(rows, e, 0)
+    return np.ldexp(x, -e), e
 
 
 def make_rng(seed: int) -> np.random.Generator:

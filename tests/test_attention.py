@@ -131,6 +131,9 @@ class TestQuadraticEvaluator:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             nala_quadratic(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 2)), KernelSpec())
+        # causal mode needs one query per key, as in nala_causal_recurrent
+        with pytest.raises(DimensionMismatch, match="one query per key"):
+            nala_quadratic(np.ones((3, 4)), np.ones((5, 4)), np.ones((5, 2)), KernelSpec(), causal=True)
 
     def test_zero_query_row_gives_zero_output(self):
         # a zero query maps to zero features: an all-zero similarity row

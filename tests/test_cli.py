@@ -188,14 +188,13 @@ class TestGradCheck:
         text = out.read_text()
         assert text.count("PASS") == 2 and "FAIL" not in text
 
-    def test_nan_jacobians_fail(self, tmp_path):
-        # at lambda 1e308 both Jacobians are NaN at every point
+    def test_nan_jacobians_fail(self, tmp_path, capsys):
+        # at lambda 1e308 the Jacobians overflow: a named error, never a PASS
         with np.errstate(all="ignore"):
             code, out = run(tmp_path, "grad-check", "--lambda", "1e308", name="report.txt")
-        assert code == 1
-        lines = out.read_text().splitlines()
-        assert [line.split(":")[0] for line in lines] == ["FAIL phi_q", "FAIL phi_k"]
-        assert all("max rel error nan" in line for line in lines)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: Jacobian is not finite")
 
     def test_rejects_baseline_kernels(self, tmp_path):
         code, _ = run(tmp_path, "grad-check", "--kernel", "relu")
@@ -282,19 +281,21 @@ VERIFY_THEOREMS_SEED_7 = (
 )
 
 
-#: sha256 of block-demo's stdout at the default sizes.  A change to the block
-#: or the evaluators it runs must not move an output byte.
-BLOCK_DEMO_SHA256 = "6d79c2e4eab3827e0a14f5c53b48f19ca3662312113155c1b62190abdc84ab91"
-BLOCK_DEMO_CAUSAL_SHA256 = "25a65badcbab22cf5d261fa8192851eecd775e592dd6ac89c2aac6edb5a17b6a"
+#: sha256 of default stdout of the commands whose outputs pass through the
+#: evaluators' readout.  A change to the block, the evaluators or their
+#: normalization must not move an output byte.
+STDOUT_SHA256 = {
+    "block-demo": "6d79c2e4eab3827e0a14f5c53b48f19ca3662312113155c1b62190abdc84ab91",
+    "block-demo --causal": "25a65badcbab22cf5d261fa8192851eecd775e592dd6ac89c2aac6edb5a17b6a",
+    "equiv-check": "d2d8beb3ac5f920560f9cab1f12f9cb5f4856b982a70befdddd0f2477e476737",
+    "entropy-scan": "f75b557ff844ea049e6cf0d15f53da29a6c5c7eb55d3430705cd002d104ee102",
+}
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [([], BLOCK_DEMO_SHA256), (["--causal"], BLOCK_DEMO_CAUSAL_SHA256)],
-)
-def test_block_demo_bytes(argv, expected, capsys):
-    assert parse_and_dispatch(["block-demo", *argv]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+@pytest.mark.parametrize("command", list(STDOUT_SHA256))
+def test_stdout_bytes(command, capsys):
+    assert parse_and_dispatch(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
 @pytest.mark.parametrize(

@@ -40,13 +40,16 @@ class TestPse:
             pse(np.zeros(4))
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            pse([1.0, -0.5])
+        # the second row's exact rescale flushes -1e-320 to -0.0
+        for row in ([1.0, -0.5], [1e300, -1e-320]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                pse(row)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entry_rejected(self, bad):
+        # NaN and inf are reported before a negative entry
         with pytest.raises(NonFinite, match="finite"):
-            pse([1.0, bad])
+            pse([-1.0, bad])
 
     def test_rows_reduce_independently(self):
         rows = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 0.0], [5.0, 0.0, 0.0, 0.0]])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nala.errors import NearSingular
+from nala.errors import NearSingular, NonFinite
 from nala.gradcheck import (
     admissible_point,
     finite_diff_jacobian,
@@ -140,6 +140,20 @@ class TestKeyJacobian:
             k = admissible_point(rng, 6, direction=False)
             fd = finite_diff_jacobian(lambda v: phi_k(v, spec), k, 1e-5)
             assert max_rel_error(jac_phi_k(k, spec), fd) <= 1e-6
+
+
+class TestNonFiniteJacobians:
+    # at lambda 1e308 the exponent's derivative overflows (query) and so does
+    # |k|**lambda at |k| > 1 (key): without the check both would hold inf or NaN
+    spec = KernelSpec(lam=1e308)
+
+    def test_query_jacobian_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            jac_phi_q([0.5, -0.7, 0.9, 0.3], self.spec)
+
+    def test_key_jacobian_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            jac_phi_k([1.5, -0.7, 0.9, 0.3], self.spec)
 
 
 class TestMaxRelError:

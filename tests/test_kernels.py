@@ -309,6 +309,16 @@ class TestMapBytes:
             for fn in (phi_q, phi_k):
                 np.testing.assert_array_equal(fn(x, spec), fn(np.ascontiguousarray(x), spec))
 
+    def test_fortran_order_equals_contiguous_copy(self):
+        # the split's einsum row sum follows the layout unless the maps copy first
+        x = make_rng(19).standard_normal((2000, 32))
+        fortran = np.asfortranarray(x)
+        assert not fortran.flags.c_contiguous
+        for lam in (0.5, 2.0, 8.0):
+            spec = KernelSpec(lam=lam)
+            for fn in (phi_q, phi_k):
+                np.testing.assert_array_equal(fn(fortran, spec), fn(x, spec))
+
 
 class TestNormSplitAtExtremeScales:
     """Rows whose squared norm over- or underflows are split after an exact rescale."""
@@ -466,8 +476,9 @@ class TestTrigBlockIdentities:
 
 class TestKernelSpecValidation:
     def test_lambda_must_be_positive(self):
-        with pytest.raises(ValueError):
-            KernelSpec(lam=0.0)
+        for lam in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                KernelSpec(lam=lam)
 
     def test_kind_accepts_strings(self):
         assert KernelSpec(kind="relu").kind is KernelKind.RELU
