@@ -44,8 +44,8 @@ def rescale_rows(x, rows=True) -> tuple[np.ndarray, np.ndarray]:
     """(x / 2**e, e), e the frexp exponent of each row's largest |entry|; NonFinite on NaN or inf.
 
     Rows are the last axis; e keeps it as a length-1 axis and is 0 where
-    the mask rows, broadcast against e, is False.  A scaled row has its
-    largest |entry| in [0.5, 1).  Dividing by a power of two is exact,
+    the mask rows, broadcast against e, is False.  A rescaled non-zero row
+    has its largest |entry| in [0.5, 1).  Dividing by a power of two is exact,
     except for entries so far below their row's largest that they become
     subnormal.
     """
