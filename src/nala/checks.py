@@ -14,7 +14,7 @@ import numpy as np
 
 from .entropy import concavity_probe, entropy_deviation_scan, theorem1_scan
 from .gradcheck import admissible_point, finite_diff_jacobian, jac_phi_k, jac_phi_q, max_rel_error
-from .kernels import HOMOGENEOUS_KINDS, KernelKind, KernelSpec, phi_k, phi_q
+from .kernels import _MAP_BLOCK_ELEMS, HOMOGENEOUS_KINDS, KernelKind, KernelSpec, phi_k, phi_q
 
 #: Largest accepted relative Jacobian error; central differences carry ~1e-11.
 GRAD_TOL = 1e-6
@@ -32,11 +32,15 @@ class CheckResult:
 
 
 def exp_entropy_threshold(rng: np.random.Generator) -> CheckResult:
-    """Exponential-row entropy ends strictly decreasing over scales [0.1, 20], 100 rows per N."""
+    """Exponential-row entropy ends strictly decreasing over scales [0.1, 20], 100 rows per N.
+
+    The 100 rows of each size are drawn as one (100, N) stack, the same
+    stream as 100 one-row draws, and scanned by one theorem1_scan call.
+    """
     c_grid = np.geomspace(0.1, 20.0, 32)
     sizes = (4, 16, 64)
-    monotone = sum(theorem1_scan(rng.standard_normal(n), c_grid).monotone_after
-                   for n in sizes for _ in range(100))
+    monotone = sum(int(theorem1_scan(rng.standard_normal((100, n)), c_grid).monotone_after.sum())
+                   for n in sizes)
     total = 100 * len(sizes)
     return CheckResult("exp-row entropy decreases beyond a scale threshold", monotone == total,
                        monotone, total, f"{monotone}/{total} random unique-max rows, N in {sizes}")
@@ -74,13 +78,25 @@ def entropy_concavity(rng: np.random.Generator) -> CheckResult:
 
 
 def similarity_nonnegative(rng: np.random.Generator, spec: KernelSpec) -> CheckResult:
-    """No similarity phi_q(q) . phi_k(k) over 10^5 Gaussian pairs in 16 dimensions is negative."""
-    qs = rng.standard_normal((100_000, 16))
-    ks = rng.standard_normal((100_000, 16))
-    sims = np.einsum("ij,ij->i", phi_q(qs, spec), phi_k(ks, spec))
-    low = float(sims.min())
-    return CheckResult("kernel similarities are nonnegative", bool(np.all(sims >= 0.0)), low, 0.0,
-                       f"min similarity {low:.3e} over {sims.size} Gaussian pairs")
+    """No similarity phi_q(q) . phi_k(k) over 10^5 Gaussian pairs in 16 dimensions is negative.
+
+    All queries are drawn first, then the keys one block of map rows at a
+    time; the generator gives the same keys, and leaves the same state, as
+    one (10^5, 16) draw.  Memory is the queries plus one block of features.
+    np.minimum carries a NaN similarity across blocks, which the builtin
+    min would drop, so the minimum is NaN, and fails, if any similarity is.
+    """
+    n, d = 100_000, 16
+    qs = rng.standard_normal((n, d))
+    step = _MAP_BLOCK_ELEMS // d
+    low = np.inf
+    for i in range(0, n, step):
+        q = qs[i : i + step]
+        sims = np.einsum("ij,ij->i", phi_q(q, spec), phi_k(rng.standard_normal(q.shape), spec))
+        low = np.minimum(low, sims.min())
+    low = float(low)
+    return CheckResult("kernel similarities are nonnegative", low >= 0.0, low, 0.0,
+                       f"min similarity {low:.3e} over {n} Gaussian pairs")
 
 
 def trig_block_norm(rng: np.random.Generator, d: int, spec: KernelSpec) -> CheckResult:

@@ -23,6 +23,8 @@ The sweeps stack all their scaled query rows into one matrix and evaluate
 it with one quadratic evaluator call per kernel, so the shared key set is
 validated and mapped (phi_k(K)) once per kernel rather than once per row.
 The price is memory: the call holds n_dirs * len(c_grid) x N weights.
+In the same way, pse_of_exp and theorem1_scan take an (m, N) stack of
+exponential rows and scan all of them over the scale grid in one call.
 """
 
 from __future__ import annotations
@@ -34,10 +36,15 @@ import numpy as np
 from .attention import nala_quadratic, row_entropy_nats, softmax_attention
 from .errors import DegenerateSequence, InvalidPerturbation, NonPositiveSum
 from .kernels import KernelSpec
-from .linalg import as_vector, rescale_rows
+from .linalg import as_matrix, as_vector, rescale_rows
 
 #: Pseudo-kernel id used when a scan includes the softmax oracle.
 SOFTMAX_ID = "softmax"
+
+
+def _as_rows(x) -> np.ndarray:
+    """One finite row, or a finite (m, N) stack of rows."""
+    return as_matrix(x) if np.ndim(x) == 2 else as_vector(x)
 
 
 def pse(values) -> float | np.ndarray:
@@ -69,58 +76,71 @@ def pse_of_exp(x, c) -> float | np.ndarray:
     Equals pse(exp(c*x)) but never overflows: with z = c*(x - max(x)),
     H = logsumexp(z) - sum_i p_i z_i.  z is clamped at -750, where exp
     already underflows to 0, so no 0 * (-inf) term enters the sum.  Scales
-    must be finite and nonnegative.  A scalar c gives a float; a 1-D grid
-    of scales gives one entropy per scale, from one (len(c), N) array.
+    must be finite and nonnegative.  x is one row or an (m, N) stack of
+    rows, each shifted by its own maximum; c is a scalar or a 1-D grid.
+    The result has shape x.shape[:-1] + c.shape, from one
+    (m, len(c), N) array for a stack and a grid; one row at one scale
+    gives a float.
     """
-    x = as_vector(x)
+    x = _as_rows(x)
     c = np.asarray(c, dtype=np.float64)
     if not np.all((c >= 0) & (c < np.inf)):
         raise ValueError("scales must be finite and nonnegative")
+    shifted = x - x.max(axis=-1, keepdims=True)
     with np.errstate(over="ignore"):  # a product that overflows to -inf is clamped
-        z = c[..., None] * (x - x.max())
+        z = c[..., None] * shifted.reshape(x.shape[:-1] + (1,) * c.ndim + x.shape[-1:])
     np.maximum(z, -750.0, out=z)
     w = np.exp(z)
     s = w.sum(axis=-1)
     h = np.log(s) - np.einsum("...i,...i->...", w, z) / s
-    return float(h) if c.ndim == 0 else h
+    return float(h) if h.ndim == 0 else h
 
 
 @dataclass
 class Theorem1Scan:
-    """Entropy-vs-scale scan of an exponential row."""
+    """Entropy-vs-scale scan of an exponential row, or of a stack of rows.
 
-    c0_index: int
+    For one row the fields are an int, a (len(c_grid),) array and two
+    bools; for an (m, N) stack they are arrays with a leading m axis.
+    """
+
+    c0_index: int | np.ndarray
     entropies: np.ndarray
-    monotone_after: bool
-    tied_max: bool
+    monotone_after: bool | np.ndarray
+    tied_max: bool | np.ndarray
 
 
 def theorem1_scan(x, c_grid) -> Theorem1Scan:
     """Scan pse_of_exp(x, c) over an increasing positive grid of scales.
 
-    The whole grid is one pse_of_exp call on a (len(c_grid), N) array.
+    x is one row or an (m, N) stack of rows; the whole scan is one
+    pse_of_exp call on an (m, len(c_grid), N) array, and each row of a
+    stack gets the fields of its own one-row scan.
 
     c0_index is the start of the longest strictly decreasing suffix of the
     entropy sequence; monotone_after reports whether such a suffix exists
     (at least one decreasing step reaching the end of the grid).  Constant
-    sequences are rejected: their entropy is ln N at every scale, so no
+    rows are rejected: their entropy is ln N at every scale, so no
     threshold exists.  A tied (non-unique) maximum is flagged but scanned.
     """
-    x = as_vector(x)
+    x = _as_rows(x)
     c = np.asarray(c_grid, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
         raise ValueError("c_grid must hold at least two scales")
     if not (np.all(np.diff(c) > 0) and c[0] > 0):
         raise ValueError("c_grid must be strictly increasing and positive")
-    if np.all(x == x[0]):
+    if np.all(x == x[..., :1], axis=-1).any():
         raise DegenerateSequence("constant sequence: entropy is ln N at every scale")
-    tied = int((x == x.max()).sum()) > 1
+    tied = (x == x.max(axis=-1, keepdims=True)).sum(axis=-1) > 1
 
     ents = pse_of_exp(x, c)
-    i = ents.size - 1
-    while i > 0 and ents[i - 1] > ents[i]:
-        i -= 1
-    return Theorem1Scan(i, ents, i <= ents.size - 2, tied)
+    decreasing = ents[..., :-1] > ents[..., 1:]
+    # length of the trailing run of decreasing steps
+    run = np.logical_and.accumulate(decreasing[..., ::-1], axis=-1).sum(axis=-1)
+    c0 = c.size - 1 - run
+    if x.ndim == 1:
+        return Theorem1Scan(int(c0), ents, bool(run > 0), bool(tied))
+    return Theorem1Scan(c0, ents, run > 0, tied)
 
 
 def _row_entropies(Q, K, spec: KernelSpec | None) -> np.ndarray:

@@ -254,6 +254,16 @@ class TestVerifyTheorems:
         _, b = run(tmp_path, "verify-theorems", name="b.txt")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_nan_similarity_fails(self, tmp_path):
+        # at lambda 1000 the features overflow; the NaN must survive the block-wise minimum
+        with np.errstate(all="ignore"):
+            code, out = run(tmp_path, "verify-theorems", "--seed", "1", "--lambda", "1000",
+                            name="report.txt")
+        assert code == 1
+        (line,) = [x for x in out.read_text().splitlines() if "similarities" in x]
+        assert line == ("FAIL kernel similarities are nonnegative: "
+                        "min similarity nan over 100000 Gaussian pairs")
+
     def test_trig_block_line_skips_underflowed_magnitudes(self, tmp_path):
         # at lambda 70 some |u_i|**lambda are subnormal or zero: no nan, no RuntimeWarning
         with warnings.catch_warnings():

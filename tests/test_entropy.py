@@ -182,6 +182,47 @@ class TestTheorem1Scan:
         scan = theorem1_scan([1e300, 0.0, 5.0], [1e8, 1e9, 1e10])
         np.testing.assert_array_equal(scan.entropies, [0.0, 0.0, 0.0])
 
+    #: Scales from 1e-20, where every entropy rounds to ln N, up to 1000.
+    STACK_GRID = np.concatenate([[1e-20, 2e-20, 3e-20], np.geomspace(0.1, 1000.0, 13)])
+
+    def stack(self):
+        return np.vstack([
+            make_rng(16).standard_normal((5, 4)),
+            [2.0, 2.0, 0.0, 1.0],    # tied maximum
+            [0.0, 1.0, -0.5, 0.3],   # flat over the three tiny scales: suffix starts at 2
+            [300.0, 0.0, 1.0, 2.0],  # entropy underflows to 0: no decreasing suffix
+        ])
+
+    def test_stack_equals_row_scans(self):
+        X = self.stack()
+        scan = theorem1_scan(X, self.STACK_GRID)
+        rows = [theorem1_scan(x, self.STACK_GRID) for x in X]
+        for field in ("c0_index", "entropies", "monotone_after", "tied_max"):
+            stacked = getattr(scan, field)
+            assert stacked.shape[0] == len(X)
+            for i, row in enumerate(rows):
+                assert np.array_equal(stacked[i], getattr(row, field)), (field, i)
+        # the cases the stack is built to cover do occur
+        assert rows[5].tied_max and rows[6].c0_index == 2
+        assert not rows[7].monotone_after and rows[7].c0_index == self.STACK_GRID.size - 1
+        for c in (0.7, self.STACK_GRID):
+            np.testing.assert_array_equal(pse_of_exp(X, c), [pse_of_exp(x, c) for x in X])
+
+    def test_constant_row_in_stack_rejected(self):
+        X = self.stack()
+        X[3] = 1.5
+        with pytest.raises(DegenerateSequence):
+            theorem1_scan(X, self.STACK_GRID)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_in_stack_rejected(self, bad):
+        X = self.stack()
+        X[6, 2] = bad
+        with pytest.raises(NonFinite, match="finite"):
+            theorem1_scan(X, self.STACK_GRID)
+        with pytest.raises(NonFinite, match="finite"):
+            pse_of_exp(X, 1.0)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             theorem1_scan(np.array([1.0, 2.0]), [2.0, 1.0])

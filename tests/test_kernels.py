@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nala import checks
 from nala.errors import DimensionMismatch, NonFinite, WrongKernel
 from nala.kernels import (
     _MAP_BLOCK_ELEMS,
@@ -450,6 +452,19 @@ class TestPairwiseSimilarity:
                 assert pairwise_similarity(
                     rng.standard_normal(8), rng.standard_normal(8), spec
                 ) >= 0.0
+
+
+    def test_check_holds_one_block_of_features(self):
+        # whole 10^5 x 32 feature arrays for both sides peak at 74 MiB; the
+        # queries (12.2 MiB) and one block of features stay below 20
+        tracemalloc.start()
+        try:
+            result = checks.similarity_nonnegative(make_rng(303), KernelSpec(lam=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestTrigBlockIdentities:
