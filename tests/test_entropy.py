@@ -202,6 +202,11 @@ class TestTheorem1Scan:
             assert stacked.shape[0] == len(X)
             for i, row in enumerate(rows):
                 assert np.array_equal(stacked[i], getattr(row, field)), (field, i)
+        for row in rows:  # the suffix rule as a loop
+            i = row.entropies.size - 1
+            while i > 0 and row.entropies[i - 1] > row.entropies[i]:
+                i -= 1
+            assert row.c0_index == i and row.monotone_after == (i <= row.entropies.size - 2)
         # the cases the stack is built to cover do occur
         assert rows[5].tied_max and rows[6].c0_index == 2
         assert not rows[7].monotone_after and rows[7].c0_index == self.STACK_GRID.size - 1

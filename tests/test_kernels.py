@@ -453,10 +453,9 @@ class TestPairwiseSimilarity:
                     rng.standard_normal(8), rng.standard_normal(8), spec
                 ) >= 0.0
 
-
     def test_check_holds_one_block_of_features(self):
-        # whole 10^5 x 32 feature arrays for both sides peak at 74 MiB; the
-        # queries (12.2 MiB) and one block of features stay below 20
+        # whole 10^5 x 32 feature arrays for both sides would peak at 74 MiB;
+        # the queries (12.2 MiB) and one block of keys and features stay below 20
         tracemalloc.start()
         try:
             result = checks.similarity_nonnegative(make_rng(303), KernelSpec(lam=2.0))
