@@ -113,6 +113,13 @@ def _readout(num, den) -> np.ndarray:
     return np.divide(num, (den + DENOM_EPS)[:, None], out=num)
 
 
+def _pad_rows(a, rows):
+    """A copy of a with zero rows appended up to `rows` rows."""
+    out = np.zeros((rows, a.shape[1]))
+    out[: a.shape[0]] = a
+    return out
+
+
 def _stream(Q, K, V, spec: KernelSpec, causal: bool) -> AttentionResult:
     """The block loop of both O(N) evaluators; inputs already validated.
 
@@ -122,7 +129,11 @@ def _stream(Q, K, V, spec: KernelSpec, causal: bool) -> AttentionResult:
     block is mapped and read out.  Causal: each block maps its queries and
     keys, and runs _CAUSAL_CHUNK-row chunks; a block holds whole chunks, so
     the chunks are those of one unblocked pass and the output does not
-    depend on the block size.
+    depend on the block size.  The last chunk, if partial, is zero-padded
+    to the full chunk and its pad rows are dropped from the output: every
+    chunk then runs its gemms and row sums at one shape, so row t's bytes
+    do not depend on how many rows follow it.  Zero features add nothing
+    to a sum (nala.kernels), so the pad changes no value.
     """
     map_q, map_k = feature_maps(spec)
     rows = max(1, _MAP_BLOCK_ELEMS // Q.shape[1])
@@ -138,10 +149,14 @@ def _stream(Q, K, V, spec: KernelSpec, causal: bool) -> AttentionResult:
         for j in range(0, fk.shape[0], chunk):
             c = slice(j, j + chunk)
             if causal:
-                sims = np.tril(fq[c] @ fk[c].T)
-                out[i + j : i + j + chunk] = _readout(
-                    fq[c] @ state + sims @ v[c], fq[c] @ zsum + sims.sum(axis=1)
-                )
+                fq_c, fk_c, v_c = fq[c], fk[c], v[c]
+                filled = fk_c.shape[0]
+                if filled < chunk:  # the last chunk, zero-padded to the full shape
+                    fq_c, fk_c, v_c = (_pad_rows(a, chunk) for a in (fq_c, fk_c, v_c))
+                sims = np.tril(fq_c @ fk_c.T)
+                out[i + j : i + j + filled] = _readout(
+                    fq_c @ state + sims @ v_c, fq_c @ zsum + sims.sum(axis=1)
+                )[:filled]
             state += fk[c].T @ v[c]
             zsum += fk[c].sum(axis=0)
     if not causal:

@@ -1,12 +1,13 @@
 """Wall-clock scaling of the attention evaluators.
 
 Times each evaluator on one shared random instance per sequence length,
-reports the median, minimum and interquartile range of several runs after
-_WARMUPS untimed ones, and fits a log-log slope per evaluator to the
-medians.  The O(N^2) evaluators should fit a slope near 2, the
-re-associated and recurrent forms near 1.  Checksums (sum of output
-entries) are carried along both to defeat dead-code elimination and to
-confirm that the timed paths agree numerically.
+visiting the (N, evaluator) grid round-robin, reports the median, minimum
+and interquartile range of several runs after _WARMUPS untimed ones, and
+fits a log-log slope per evaluator to the medians.  The O(N^2) evaluators
+should fit a slope near 2, the re-associated and recurrent forms near 1.
+Checksums (sum of output entries) are carried along both to defeat
+dead-code elimination and to confirm that the timed paths agree
+numerically.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ EVALUATORS: dict[str, Callable] = {
 
 _QUADRATIC_MEMORY = frozenset({"softmax", "nala_quadratic"})
 
-#: Untimed runs per (evaluator, N) before the timed ones, so first-call
+#: Untimed passes over the grid before the timed ones, so first-call
 #: costs stay out of the timings.
 _WARMUPS = 2
 
@@ -78,12 +79,21 @@ def run_scaling_sweep(
 ) -> tuple[list[BenchRecord], dict[str, float]]:
     """Time the evaluators over n_grid and fit per-evaluator log-log slopes.
 
-    Each N gets one random (Q, K, V) instance shared by every evaluator.
-    wall_seconds is the median of `reps` timed runs after _WARMUPS untimed
-    runs, on a monotonic clock, with the runs' minimum and interquartile
-    range next to it.  Quadratic-memory evaluators are skipped (recorded
-    with nan) above quad_cap.  Returns the records plus a slope
-    per evaluator fitted over its measured points.
+    Each N gets one random (Q, K, V) instance shared by every evaluator;
+    all instances are drawn up front, one N after another.  The grid of
+    (N, evaluator) points is then visited round-robin: _WARMUPS untimed
+    passes, then `reps` timed passes, each running every point once, so a
+    transient slowdown of the host lands on every N alike instead of
+    bending the first points of the fit.  A pass runs the points in
+    reverse record order, the largest N of an ascending grid first, so the
+    smallest N follows the next larger one, not the largest: measured on a
+    2-core host in record order, nala_quadratic at N=1024 right after
+    N=16384 took 14-17 ms instead of ~6 ms, and the fitted slope fell from
+    ~2.0 to 1.72-1.78.  wall_seconds is the median of a point's timed
+    runs, on a monotonic clock, with their minimum and interquartile range
+    next to it.  Quadratic-memory evaluators are skipped (recorded with
+    nan) above quad_cap.  Returns the records plus a slope per evaluator
+    fitted over its measured points.
     """
     ids = list(evaluator_ids) if evaluator_ids is not None else list(EVALUATORS)
     unknown = set(ids) - set(EVALUATORS)
@@ -92,33 +102,34 @@ def run_scaling_sweep(
     if reps < 1:
         raise ValueError("reps must be at least 1")
 
+    instances = [(n, [rng.standard_normal((n, d)) for _ in range(3)]) for n in n_grid]  # Q, K, V
+    points = [(evaluator_id, n, qkv) for n, qkv in instances for evaluator_id in ids]
+    times = {i: [] for i, (evaluator_id, n, _) in enumerate(points)
+             if not (evaluator_id in _QUADRATIC_MEMORY and n > quad_cap)}
+    checksums = {}
+    for rep in range(-_WARMUPS, reps):  # negative reps are the warmups
+        for i in reversed(times):
+            evaluator_id, _, qkv = points[i]
+            start = time.perf_counter()
+            result = EVALUATORS[evaluator_id](*qkv, spec)
+            elapsed = time.perf_counter() - start
+            checksums[i] = float(result.output.sum())
+            if rep >= 0:
+                times[i].append(elapsed)
+
     records: list[BenchRecord] = []
-    for n in n_grid:
-        Q = rng.standard_normal((n, d))
-        K = rng.standard_normal((n, d))
-        V = rng.standard_normal((n, d))
-        for evaluator_id in ids:
-            if evaluator_id in _QUADRATIC_MEMORY and n > quad_cap:
-                nan = float("nan")
-                records.append(BenchRecord(evaluator_id, n, d, nan, nan, nan, 0, nan))
-                continue
-            fn = EVALUATORS[evaluator_id]
-            checksum = 0.0
-            for _ in range(_WARMUPS):
-                checksum = float(fn(Q, K, V, spec).output.sum())
-            times = []
-            for _ in range(reps):
-                start = time.perf_counter()
-                result = fn(Q, K, V, spec)
-                times.append(time.perf_counter() - start)
-                checksum = float(result.output.sum())
-            q1, q3 = np.percentile(times, [25, 75])
-            records.append(
-                BenchRecord(
-                    evaluator_id, n, d, statistics.median(times), min(times),
-                    float(q3 - q1), reps, checksum,
-                )
+    for i, (evaluator_id, n, _) in enumerate(points):
+        if i not in times:
+            nan = float("nan")
+            records.append(BenchRecord(evaluator_id, n, d, nan, nan, nan, 0, nan))
+            continue
+        q1, q3 = np.percentile(times[i], [25, 75])
+        records.append(
+            BenchRecord(
+                evaluator_id, n, d, statistics.median(times[i]), min(times[i]),
+                float(q3 - q1), reps, checksums[i],
             )
+        )
 
     slopes = {}
     for evaluator_id in ids:

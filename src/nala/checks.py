@@ -68,11 +68,13 @@ def scale_invariance_split(
 
 
 def entropy_concavity(rng: np.random.Generator) -> CheckResult:
-    """Second differences (step 1e-4) of the entropy along each coordinate of 50 rows are <= 0."""
-    worst = -np.inf
-    for _ in range(50):
-        x = rng.uniform(0.2, 1.2, size=12)
-        worst = float(np.maximum(worst, concavity_probe(x, range(x.size), [1e-4]).max()))
+    """Second differences (step 1e-4) of the entropy along each coordinate of 50 rows are <= 0.
+
+    The 50 rows are drawn as one (50, 12) stack, the same stream as 50
+    one-row draws, and probed by one concavity_probe call.
+    """
+    x = rng.uniform(0.2, 1.2, size=(50, 12))
+    worst = float(concavity_probe(x, range(x.shape[1]), [1e-4]).max())  # .max() keeps a NaN
     return CheckResult("entropy second differences nonpositive on random rows", worst <= 1e-8,
                        worst, 1e-8, f"max second difference {worst:.3e} over 50 rows x 12 coords")
 
@@ -123,11 +125,21 @@ def trig_block_norm(rng: np.random.Generator, d: int, spec: KernelSpec) -> Check
 
 
 def jacobians(rng: np.random.Generator, d: int, spec: KernelSpec) -> list[CheckResult]:
-    """Analytic phi_q and phi_k Jacobians against central differences at 50 admissible points."""
+    """Analytic phi_q and phi_k Jacobians against central differences at 50 admissible points.
+
+    The (q, k) pairs are drawn first, one pair at a time.  They are then
+    checked in stacks of max(1, _MAP_BLOCK_ELEMS // (2 d^2)) points (all 50
+    at d=16, 4 at d=64, 1 from d=128 on), so a stack's features and
+    Jacobians hold at most _MAP_BLOCK_ELEMS entries; each stack makes one
+    finite-difference, one Jacobian and one error call per map.
+    """
+    pairs = [(admissible_point(rng, d, direction=True), admissible_point(rng, d, direction=False))
+             for _ in range(50)]
+    qs, ks = (np.array(side) for side in zip(*pairs))
+    step = max(1, _MAP_BLOCK_ELEMS // (2 * d * d))
     worst = {"phi_q": 0.0, "phi_k": 0.0}
-    for _ in range(50):
-        q = admissible_point(rng, d, direction=True)
-        k = admissible_point(rng, d, direction=False)
+    for i in range(0, 50, step):
+        q, k = qs[i : i + step], ks[i : i + step]
         fd_q = finite_diff_jacobian(lambda v: phi_q(v, spec), q)
         fd_k = finite_diff_jacobian(lambda v: phi_k(v, spec), k)
         # np.maximum keeps a NaN error, which the builtin max would drop

@@ -24,7 +24,9 @@ it with one quadratic evaluator call per kernel, so the shared key set is
 validated and mapped (phi_k(K)) once per kernel rather than once per row.
 The price is memory: the call holds n_dirs * len(c_grid) x N weights.
 In the same way, pse_of_exp and theorem1_scan take an (m, N) stack of
-exponential rows and scan all of them over the scale grid in one call.
+exponential rows and scan all of them over the scale grid in one call,
+and concavity_probe probes every coordinate of an (m, N) stack in one
+pse call per side.
 """
 
 from __future__ import annotations
@@ -277,27 +279,32 @@ def concavity_probe(x, index, h_grid) -> np.ndarray:
     Returns [pse(x + h e) - 2 pse(x) + pse(x - h e)] / h^2 for each step h.
     `index` is an int, giving one value per step, or a sequence of
     coordinates, giving a (len(index), len(h_grid)) array with one row per
-    coordinate; all perturbed points go through one row-wise pse call per
-    side.  Steps that would push a coordinate to zero or below are
-    rejected; the entropy's derivative is unbounded there and the
-    difference would be meaningless.
+    coordinate.  x is one row or an (m, N) stack of rows, which adds a
+    leading m axis to the result; all perturbed points of all rows go
+    through one row-wise pse call per side.  Steps that would push a
+    coordinate to zero or below are rejected; the entropy's derivative is
+    unbounded there and the difference would be meaningless.
     """
-    x = as_vector(x)
+    x = _as_rows(x)
     coords = np.atleast_1d(np.asarray(index))
     h = np.asarray(h_grid, dtype=np.float64)
-    nonpositive = x[coords] <= 0
+    at = x[..., coords]
+    nonpositive = at <= 0
     if nonpositive.any():
-        raise InvalidPerturbation(f"coordinate {coords[nonpositive][0]} must be positive")
-    outside = ~((0 < h) & (h < x[coords][:, None]))
+        raise InvalidPerturbation(f"coordinate {coords[np.argwhere(nonpositive)[0][-1]]} "
+                                  "must be positive")
+    outside = ~((0 < h) & (h < at[..., None]))
     if outside.any():
-        i, j = np.argwhere(outside)[0]
+        *_, i, j = np.argwhere(outside)[0]
         raise InvalidPerturbation(
             f"step {h[j]} leaves the positive domain at coordinate {coords[i]}"
         )
-    base = pse(x)
-    e = np.zeros((coords.size, h.size, x.size))
+    base = np.asarray(pse(x))[..., None, None]
+    n = x.shape[-1]
+    e = np.zeros((coords.size, h.size, n))
     e[np.arange(coords.size), :, coords] = h
-    plus = pse((x + e).reshape(-1, x.size))
-    minus = pse((x - e).reshape(-1, x.size))
-    out = (plus - 2.0 * base + minus).reshape(coords.size, h.size) / h**2
-    return out[0] if np.ndim(index) == 0 else out
+    rows = x[..., None, None, :]
+    plus = pse((rows + e).reshape(-1, n)).reshape(base.shape[:-2] + e.shape[:2])
+    minus = pse((rows - e).reshape(-1, n)).reshape(plus.shape)
+    out = (plus - 2.0 * base + minus) / h**2
+    return out[..., 0, :] if np.ndim(index) == 0 else out

@@ -377,6 +377,60 @@ class TestZeroRows:
             np.testing.assert_array_equal(Z[:20], prefix)
 
 
+def _prefix_lengths(n, data):
+    """Prefix lengths below n: both sides of every chunk edge, plus one drawn length."""
+    edges = {e + o for e in range(C, n, C) for o in (-1, 0, 1)}
+    return sorted({e for e in edges if 0 < e < n} | {data.draw(st.integers(1, n - 1))})
+
+
+class TestCausalPrefix:
+    """Causal row t is defined by rows <= t: a prefix run equals the full run, bit for bit.
+
+    Every chunk runs at the full _CAUSAL_CHUNK shape, the last one zero-
+    padded, so row t sees the same operations whatever N is.  At d=256 a
+    block holds 128 rows, so the lengths cross block edges as well.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([8, 256]),
+           n=st.integers(2, 320), data=st.data())
+    def test_recurrent_prefix_is_the_full_run(self, seed, d, n, data):
+        spec = KernelSpec(lam=2.0)
+        Q, K, V = make_rng(seed).standard_normal((3, n, d))
+        full = nala_causal_recurrent(Q, K, V, spec).output
+        for cut in _prefix_lengths(n, data):
+            prefix = nala_causal_recurrent(Q[:cut], K[:cut], V[:cut], spec).output
+            np.testing.assert_array_equal(prefix, full[:cut], err_msg=f"prefix {cut} of {n}")
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300), data=st.data())
+    def test_block_prefix_is_the_full_run(self, seed, n, data):
+        # from 2 rows on, at width 16 in 4 heads; the block's own gemms can
+        # depend on the row count, see test_block_prefix_at_other_gemm_shapes
+        rng = make_rng(seed)
+        params = random_block_params(rng, 16, 4)
+        X = rng.standard_normal((n, 16))
+        full = block_forward(X, params, KernelSpec(), causal=True)
+        for cut in _prefix_lengths(n, data):
+            if cut > 1:
+                prefix = block_forward(X[:cut], params, KernelSpec(), causal=True)
+                np.testing.assert_array_equal(prefix, full[:cut], err_msg=f"prefix {cut} of {n}")
+
+    @pytest.mark.xfail(strict=True, reason="the block's projections and feed-forward are "
+                       "matrix products whose BLAS kernel depends on the row count")
+    @pytest.mark.parametrize("seed, dim, heads, n, cut", [
+        (1, 16, 4, 300, 1),  # numpy runs a one-row product as gemv, a longer one as gemm
+        (0, 256, 1, 4, 2),  # the (n, 1024) @ (1024, 256) feed-forward, 2 rows against 4
+    ])
+    def test_block_prefix_at_other_gemm_shapes(self, seed, dim, heads, n, cut):
+        rng = make_rng(seed)
+        params = random_block_params(rng, dim, heads)
+        X = rng.standard_normal((n, dim))
+        full = block_forward(X, params, KernelSpec(), causal=True)
+        np.testing.assert_array_equal(block_forward(X[:cut], params, KernelSpec(), causal=True),
+                                      full[:cut])
+
+
 class TestScaleCancellation:
     """Row normalization cancels query scale exactly for homogeneous kernels."""
 

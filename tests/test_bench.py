@@ -2,10 +2,12 @@
 at full scale by the acceptance suite)."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+from nala import bench
 from nala.bench import BenchRecord, EVALUATORS, fit_loglog_slope, run_scaling_sweep
 from nala.kernels import KernelSpec
 from nala.linalg import make_rng
@@ -75,6 +77,41 @@ class TestScalingSweep:
         )
         assert single[0].min_seconds == single[0].wall_seconds
         assert single[0].iqr_seconds == 0.0
+
+    def test_grid_is_visited_round_robin(self, monkeypatch):
+        # every warmup pass, then every timed pass, runs each point once,
+        # largest N first, so a slow phase of the host lands on every N alike
+        calls = []
+
+        def recording(evaluator_id):
+            def evaluate(Q, K, V, spec):
+                calls.append((evaluator_id, Q.shape[0]))
+                return types.SimpleNamespace(output=np.zeros(1))
+            return evaluate
+
+        monkeypatch.setattr(bench, "EVALUATORS", {e: recording(e) for e in ("nala_linear", "softmax")})
+        records, _ = run_scaling_sweep(make_rng(6), [32, 64], 4, KernelSpec(), reps=3, quad_cap=32)
+        one_pass = [("nala_linear", 64), ("softmax", 32), ("nala_linear", 32)]
+        assert calls == one_pass * (bench._WARMUPS + 3)
+        assert [(r.evaluator_id, r.n, r.reps) for r in records] == [
+            ("nala_linear", 32, 3), ("softmax", 32, 3), ("nala_linear", 64, 3), ("softmax", 64, 0)
+        ]
+
+    def test_instances_drawn_up_front_in_grid_order(self, monkeypatch):
+        # N by N, Q then K then V: the stream of drawing each N's instance
+        # just before timing it, so checksums do not depend on the visiting order
+        seen = {}
+
+        def recording(Q, K, V, spec):
+            seen.setdefault(Q.shape[0], (Q, K, V))
+            return types.SimpleNamespace(output=np.zeros(1))
+
+        monkeypatch.setattr(bench, "EVALUATORS", {"nala_linear": recording})
+        run_scaling_sweep(make_rng(7), [16, 8], 4, KernelSpec(), reps=1)
+        rng = make_rng(7)
+        for n in (16, 8):
+            for drawn in seen[n]:
+                np.testing.assert_array_equal(drawn, rng.standard_normal((n, 4)))
 
     def test_unknown_evaluator_rejected(self):
         with pytest.raises(ValueError):

@@ -456,6 +456,21 @@ class TestConcavityProbe:
             for m in range(x.size):
                 np.testing.assert_array_equal(rows[m], concavity_probe(x, m, steps))
 
+    @pytest.mark.parametrize("index", [3, [0, 5, 11]], ids=["int", "sequence"])
+    def test_stack_equals_per_row_calls(self, index):
+        x = make_rng(17).uniform(0.2, 1.2, size=(30, 12))
+        steps = [1e-2, 1e-4]
+        rows = concavity_probe(x, index, steps)
+        assert rows.shape == (30, *np.shape(concavity_probe(x[0], index, steps)))
+        for i in range(x.shape[0]):
+            np.testing.assert_array_equal(rows[i], concavity_probe(x[i], index, steps))
+
+    def test_stack_step_leaving_domain_names_the_coordinate(self):
+        x = np.ones((3, 4))
+        x[2, 1] = 0.5
+        with pytest.raises(InvalidPerturbation, match="step 0.6 .* coordinate 1$"):
+            concavity_probe(x, [0, 1, 2], [0.6])
+
     def test_truncation_shrinks_with_step(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         coarse, fine = concavity_probe(x, 1, [1e-2, 1e-4])

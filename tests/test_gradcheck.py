@@ -1,8 +1,12 @@
 """Tests for the analytic Jacobians against the finite-difference harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nala import checks
+from nala.cli import parse_and_dispatch
 from nala.errors import NearSingular, NonFinite
 from nala.gradcheck import (
     admissible_point,
@@ -49,6 +53,70 @@ class TestFiniteDiffHarness:
             e[j] = h = 1e-5 * max(1.0, abs(x[j]))
             cols.append((f(x + e) - f(x - e)) / (2.0 * h))
         np.testing.assert_array_equal(finite_diff_jacobian(f, x), np.stack(cols, axis=1))
+
+
+class TestStacks:
+    # an (m, d) stack is m points in one call: each point's result must be
+    # the one-point call's, bit for bit
+    @pytest.mark.parametrize("d", [1, 2, 8, 16, 64])
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("direction", [True, False], ids=["phi_q", "phi_k"])
+    def test_stack_equals_single_points(self, d, lam, direction):
+        spec = KernelSpec(lam=lam)
+        f = (lambda v: phi_q(v, spec)) if direction else (lambda v: phi_k(v, spec))
+        jac = jac_phi_q if direction else jac_phi_k
+        rng = make_rng(100 * d + int(4 * lam))
+        pts = np.array([admissible_point(rng, d, direction) for _ in range(5)])
+        stacked_fd, stacked_jac = finite_diff_jacobian(f, pts), jac(pts, spec)
+        assert stacked_fd.shape == stacked_jac.shape == (5, 2 * d, d)
+        for i, x in enumerate(pts):
+            np.testing.assert_array_equal(stacked_fd[i], finite_diff_jacobian(f, x))
+            np.testing.assert_array_equal(stacked_jac[i], jac(x, spec))
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("direction", [True, False], ids=["phi_q", "phi_k"])
+    def test_one_near_kink_row_rejects_the_stack(self, row, direction):
+        rng = make_rng(11)
+        pts = np.array([admissible_point(rng, 4, direction) for _ in range(5)])
+        pts[row, 1] = 1e-8
+        with pytest.raises(NearSingular):
+            (jac_phi_q if direction else jac_phi_k)(pts, KernelSpec())
+
+    def test_max_rel_error_normalizes_each_point_by_its_own_fd(self):
+        rng = make_rng(12)
+        a, fd = rng.standard_normal((2, 3, 8, 4))
+        fd[1] *= 1e3  # a large point must not shrink the others' errors
+        want = max(max_rel_error(a[i], fd[i]) for i in range(3))
+        assert max_rel_error(a, fd) == want
+
+    def test_nan_in_one_point_fails_grad_check(self, monkeypatch, capsys):
+        # one finite-difference entry of the fourth point of the stack is NaN
+        def poisoned(v, spec):
+            out = phi_q(v, spec)
+            if out.ndim == 3:
+                out[3, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(checks, "phi_q", poisoned)
+        code = parse_and_dispatch(["grad-check"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0] == "FAIL phi_q: max rel error nan over 50 points (tol 1e-06)"
+        assert lines[1].startswith("PASS phi_k")
+
+
+class TestMemory:
+    def test_jacobians_at_d_128_stay_small(self):
+        # one point per stack from d=128 on; at the parent (point by point)
+        # the peak was 1.76 MiB, and all 50 points in one unbudgeted stack
+        # took 69.1 MiB
+        tracemalloc.start()
+        try:
+            checks.jacobians(make_rng(7), 128, KernelSpec(lam=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestQueryJacobian:
