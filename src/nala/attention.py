@@ -68,7 +68,7 @@ def _check_qkv(Q, K, V, causal: bool = False):
 #: and C=N the masked quadratic form.  Of C = 16..256, 64 was the fastest at
 #: N=4096, d=32 and within 10% of the fastest (32) at N=512, d=64: smaller
 #: chunks pay per-chunk call overhead, larger ones the O(C) in-chunk block
-#: per row.
+#: per row.  It also sets the row tile of block_forward's rowwise stages.
 _CAUSAL_CHUNK = 64
 
 
@@ -199,20 +199,27 @@ def nala_causal_recurrent(Q, K, V, spec: KernelSpec) -> AttentionResult:
 def layer_norm(x, gain=1.0, bias=0.0) -> np.ndarray:
     """Rowwise (x - mean) / sqrt(var + 1e-6) * gain + bias, population variance.
 
-    A row whose variance overflows is rescaled by linalg.rescale_rows, an
+    The rows are centered once, and the variance is the mean square of the
+    centered rows: the arithmetic of np.var, without its second mean.  A
+    row whose variance overflows is rescaled by linalg.rescale_rows, an
     exact power of two, with the 1e-6 scaled to match; NaN or inf raises
     NonFinite.
     """
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are rescaled below
-        var = x.var(axis=-1, keepdims=True)
+        c, var = _centered(x)
     e = 0
     overflow = ~np.isfinite(var)
     if overflow.any():
         x, e = rescale_rows(x, overflow)
-        var = x.var(axis=-1, keepdims=True)
-    mean = x.mean(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + np.ldexp(_LN_EPS, -2 * e)) * gain + bias
+        c, var = _centered(x)
+    return c / np.sqrt(var + np.ldexp(_LN_EPS, -2 * e)) * gain + bias
+
+
+def _centered(x):
+    """x minus its row means, and the rows' population variances."""
+    c = x - x.mean(axis=-1, keepdims=True)
+    return c, (c * c).sum(axis=-1, keepdims=True) / x.shape[-1]
 
 
 def silu(x):
@@ -297,12 +304,24 @@ def block_forward(X, params: BlockParams, spec: KernelSpec, causal: bool = False
     gelu feed-forward with its own pre-norm forms the second residual
     branch.  A zero query or key row, such as a constant input row
     layer-normed to a zero bias, follows the zero-row rule of nala.kernels.
+
+    Attention runs over the whole sequence; every other stage is rowwise
+    and runs in tiles of _CAUSAL_CHUNK rows (_row_tiles), one gemm against
+    [w_q | w_k | w_v | w_g] per tile for the projections.  The last tile
+    is zero-padded to the full tile, so every tile's gemms run at one
+    shape: a causal row's bytes do not depend on how many rows follow it,
+    and the feed-forward temporaries are one tile's, whatever N is.  A
+    block of N <= 64 rows does a full tile's rowwise work.
     """
     X = as_matrix(X)
     if X.shape[1] != params.dim:
         raise DimensionMismatch(f"input width {X.shape[1]} != block width {params.dim}")
-    h = layer_norm(X, params.ln1_gain, params.ln1_bias)
-    Q, K, V, G = h @ params.w_q, h @ params.w_k, h @ params.w_v, h @ params.w_g
+    w_in = np.concatenate([params.w_q, params.w_k, params.w_v, params.w_g], axis=1)
+
+    def project(x):
+        return layer_norm(x, params.ln1_gain, params.ln1_bias) @ w_in
+
+    Q, K, V, G = np.split(_row_tiles(project, w_in.shape[1], X), 4, axis=1)
 
     evaluate = nala_causal_recurrent if causal else nala_linear
     attn = np.concatenate(
@@ -316,7 +335,29 @@ def block_forward(X, params: BlockParams, spec: KernelSpec, causal: bool = False
         ],
         axis=1,
     )
-    gated = layer_norm(attn) * silu(G)
-    Y = X + gated @ params.w_o
-    Z = Y + gelu(layer_norm(Y, params.ln2_gain, params.ln2_bias) @ params.ffn_w1) @ params.ffn_w2
-    return Z
+
+    def tail(x, a, g):
+        y = x + (layer_norm(a) * silu(g)) @ params.w_o
+        f = layer_norm(y, params.ln2_gain, params.ln2_bias) @ params.ffn_w1
+        return y + gelu(f) @ params.ffn_w2
+
+    return _row_tiles(tail, params.dim, X, attn, G)
+
+
+def _row_tiles(f, cols, *arrays) -> np.ndarray:
+    """f over _CAUSAL_CHUNK-row tiles of the (n, .) arrays, into one (n, cols) output.
+
+    f takes one tile of each array and returns that tile's rows.  The last
+    tile, if partial, is zero-padded to the full tile, as _stream pads its
+    last chunk, and its pad rows are dropped; f must be rowwise, so the pad
+    changes no real row.
+    """
+    n = arrays[0].shape[0]
+    out = np.empty((n, cols))
+    for i in range(0, n, _CAUSAL_CHUNK):
+        tile = [a[i : i + _CAUSAL_CHUNK] for a in arrays]
+        filled = tile[0].shape[0]
+        if filled < _CAUSAL_CHUNK:
+            tile = [_pad_rows(a, _CAUSAL_CHUNK) for a in tile]
+        out[i : i + filled] = f(*tile)[:filled]
+    return out

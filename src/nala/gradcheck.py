@@ -63,6 +63,12 @@ def admissible_point(rng: np.random.Generator, d: int, direction: bool) -> np.nd
                        f"an entry below {_kink_floor(d, direction):g} in magnitude")
 
 
+def _quiet_overflow():
+    """No numpy warning for overflow at extreme lambda: the result reports it, as
+    NonFinite from the Jacobians or a NaN error against the finite differences."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _as_points(x) -> np.ndarray:
     """One finite point (d,) as a stack of one, or a finite (m, d) stack."""
     return as_matrix(x) if np.ndim(x) == 2 else as_vector(x)[None]
@@ -88,7 +94,8 @@ def finite_diff_jacobian(f, x, step_scale: float = 1e-5) -> np.ndarray:
     pts = _as_points(x)
     h = step_scale * np.maximum(1.0, np.abs(pts))
     step = _diag(h)
-    diff = np.asarray(f(pts[:, None, :] + step)) - np.asarray(f(pts[:, None, :] - step))
+    with _quiet_overflow():
+        diff = np.asarray(f(pts[:, None, :] + step)) - np.asarray(f(pts[:, None, :] - step))
     jac = np.swapaxes(diff / (2.0 * h)[..., None], -1, -2)
     return jac[0] if np.ndim(x) == 1 else jac
 
@@ -126,15 +133,16 @@ def jac_phi_q(q, spec: KernelSpec) -> np.ndarray:
     n, u = _norm_direction(_as_points(q))
     if _near_kink(u, direction=True).any():
         raise NearSingular(f"direction entry below {_kink_floor(u.shape[-1], True):g}; resample")
-    au = np.abs(u)
-    p = power_exponent(n, spec)
-    dp = spec.lam * _sech2(n) * u  # row: dp/dq_j
-    a, da, du = _angle_path(u, n)
-    m = au**p
-    dm = m[..., None] * (
-        np.log(au)[..., None] * dp[:, None, :] + (p * np.sign(u) / au)[..., None] * du
-    )
-    jac = _assemble(m, dm, a, da)
+    with _quiet_overflow():
+        au = np.abs(u)
+        p = power_exponent(n, spec)
+        dp = spec.lam * _sech2(n) * u  # row: dp/dq_j
+        a, da, du = _angle_path(u, n)
+        m = au**p
+        dm = m[..., None] * (
+            np.log(au)[..., None] * dp[:, None, :] + (p * np.sign(u) / au)[..., None] * du
+        )
+        jac = _assemble(m, dm, a, da)
     return jac[0] if np.ndim(q) == 1 else jac
 
 
@@ -147,10 +155,11 @@ def jac_phi_k(k, spec: KernelSpec) -> np.ndarray:
     if _near_kink(pts, direction=False).any():
         raise NearSingular(f"key entry below {SINGULAR_FLOOR:g}; resample the point")
     n, u = _norm_direction(pts)
-    a, da, _ = _angle_path(u, n)
-    m = np.abs(pts) ** spec.lam
-    dm = _diag(spec.lam * np.sign(pts) * np.abs(pts) ** (spec.lam - 1.0))
-    jac = _assemble(m, dm, a, da)
+    with _quiet_overflow():
+        a, da, _ = _angle_path(u, n)
+        m = np.abs(pts) ** spec.lam
+        dm = _diag(spec.lam * np.sign(pts) * np.abs(pts) ** (spec.lam - 1.0))
+        jac = _assemble(m, dm, a, da)
     return jac[0] if np.ndim(k) == 1 else jac
 
 

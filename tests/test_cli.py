@@ -3,7 +3,11 @@
 import collections
 import hashlib
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -195,6 +199,19 @@ class TestGradCheck:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: Jacobian is not finite")
+
+    def test_overflow_reports_one_line(self, tmp_path):
+        # no numpy RuntimeWarning before the error line: the error names the overflow
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nala.cli", "grad-check", "--lambda", "1e308",
+             "--out", str(tmp_path / "report.txt")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: Jacobian is not finite in float64 at this point "
+                               "and lambda\n")
 
     def test_rejects_baseline_kernels(self, tmp_path):
         code, _ = run(tmp_path, "grad-check", "--kernel", "relu")
