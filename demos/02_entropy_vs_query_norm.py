@@ -5,12 +5,10 @@ homogeneous kernel rows cannot react at all, and the norm-aware kernel
 recovers a monotone entropy response along every direction.
 """
 
-import collections
-
 import numpy as np
 
-from nala import KernelSpec, norm_entropy_experiment
-from nala.entropy import pearson
+from nala import KernelSpec, checks
+from nala.entropy import norm_entropy_sweep
 from nala.linalg import make_rng
 
 specs = [
@@ -19,30 +17,16 @@ specs = [
     KernelSpec(kind="fixed_power", lam=2.0),
 ]
 grid = np.geomspace(0.25, 16.0, 16)
-records, pooled = norm_entropy_experiment(
+sweep = norm_entropy_sweep(
     make_rng(7), specs, n_dirs=16, N=128, d=16, c_grid=grid, softmax_too=True
 )
 
-curves = collections.defaultdict(dict)
-for r in records:
-    curves[r.kernel_id].setdefault(r.direction_id, []).append(r.entropy)
-
 print("entropy of one attention row (direction 0), ln(128) = 4.852:\n")
-print("  query norm   " + "  ".join(f"{k:>12s}" for k in curves))
+print("  query norm   " + "  ".join(f"{k:>12s}" for k in sweep))
 for i, c in enumerate(grid):
-    row = "  ".join(f"{curves[k][0][i]:12.4f}" for k in curves)
+    row = "  ".join(f"{ents[0, i]:12.4f}" for ents in sweep.values())
     print(f"  {c:10.3f}   {row}")
 
-print("\nper-direction entropy response over the norm sweep:")
-for kernel_id, dirs in curves.items():
-    spreads = [max(e) - min(e) for e in dirs.values()]
-    corrs = [pearson(grid, e) for e in dirs.values()]
-    corr_txt = "n/a (flat)" if all(np.isnan(corrs)) else f"{np.nanmean(corrs):+.3f}"
-    print(
-        f"  {kernel_id:>12s}: spread {min(spreads):.2e} .. {max(spreads):.2e}, "
-        f"mean per-direction pearson {corr_txt}"
-    )
-
-print("\npooled pearson(query norm, entropy) across directions:")
-for kernel_id, corr in pooled.items():
-    print(f"  {kernel_id:>12s}: {corr:+.4f}" if corr == corr else f"  {kernel_id:>12s}: undefined")
+print("\nnorm response over all 16 directions (the same draws, nala.checks.norm_response):")
+for r in checks.norm_response(make_rng(7), n_dirs=16, N=128, d=16, c_grid=grid, lam=2.0):
+    print(f"  {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

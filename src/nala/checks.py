@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import concavity_probe, entropy_deviation_scan, theorem1_scan
+from .entropy import (
+    SOFTMAX_ID,
+    concavity_probe,
+    entropy_deviation_scan,
+    norm_entropy_sweep,
+    pearson,
+    theorem1_scan,
+)
 from .gradcheck import admissible_point, finite_diff_jacobian, jac_phi_k, jac_phi_q, max_rel_error
 from .kernels import _MAP_BLOCK_ELEMS, HOMOGENEOUS_KINDS, KernelKind, KernelSpec, phi_k, phi_q
 
@@ -64,6 +71,56 @@ def scale_invariance_split(
         else:
             results.append(CheckResult("nala attention entropy depends on the query norm",
                                        dev > 1e-3, dev, 1e-3, detail))
+    return results
+
+
+def norm_response(
+    rng: np.random.Generator, n_dirs: int, N: int, d: int, c_grid, lam: float
+) -> list[CheckResult]:
+    """Each kernel's row entropy against the query norm, judged on one norm_entropy_sweep.
+
+    Five results, in order.  nala: along every direction, strictly
+    decreasing with pearson(norm, entropy) < -0.5 (the pooled pearson mostly
+    measures offsets between directions, so it is only reported).  relu,
+    then fixed_power (HOMOGENEOUS_KINDS): per-direction variance <= 1e-12.
+    one_plus_elu, whose +1 breaks homogeneity: largest spread over the norms
+    below the smallest softmax spread.  softmax: pooled pearson < -0.5.  A
+    failing per-direction result names the directions that break it.
+    """
+    c = np.asarray(c_grid, dtype=np.float64)
+    flat = [kind.value for kind in KernelKind if kind in HOMOGENEOUS_KINDS]
+    specs = [KernelSpec(kind, lam) for kind in ("nala", *flat, "one_plus_elu")]
+    ents = norm_entropy_sweep(rng, specs, n_dirs, N, d, c, softmax_too=True)
+    norms = np.tile(c, n_dirs)
+
+    def per_direction(kernel_id, claim, ok, measured, bound, detail):
+        if not ok.all():
+            detail += f"; fails at directions {np.flatnonzero(~ok).tolist()}"
+        return CheckResult(f"{kernel_id} attention entropy {claim}", bool(ok.all()),
+                           float(measured), float(bound), detail)
+
+    nala = ents["nala"]
+    decreasing = np.all(np.diff(nala, axis=1) < 0, axis=1)
+    corrs = np.array([pearson(c, row) for row in nala])
+    worst = corrs.max()  # .max() keeps a NaN
+    results = [per_direction(
+        "nala", "falls with the query norm along every direction", decreasing & (corrs < -0.5),
+        worst, -0.5, f"{decreasing.sum()}/{n_dirs} directions strictly decreasing, worst pearson "
+        f"{worst:.4f} (pooled {pearson(norms, nala.ravel()):.4f})")]
+    for kernel_id in flat:
+        var = ents[kernel_id].var(axis=1)
+        results.append(per_direction(
+            kernel_id, "is flat in the query norm along every direction", var <= 1e-12, var.max(),
+            1e-12, f"max per-direction variance {var.max():.2e} over {n_dirs} directions"))
+    elu, soft = (np.ptp(ents[k], axis=1) for k in ("one_plus_elu", SOFTMAX_ID))
+    results.append(per_direction(
+        "one_plus_elu", "moves less with the query norm than softmax's", elu < soft.min(),
+        elu.max(), soft.min(),
+        f"largest one_plus_elu spread {elu.max():.3f} vs smallest softmax spread {soft.min():.3f}"))
+    pooled = pearson(norms, ents[SOFTMAX_ID].ravel())
+    results.append(CheckResult(
+        "softmax attention entropy falls with the query norm", pooled < -0.5, pooled, -0.5,
+        f"pooled pearson {pooled:.4f} over {n_dirs} directions x {c.size} norms"))
     return results
 
 

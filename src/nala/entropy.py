@@ -23,6 +23,10 @@ The sweeps stack all their scaled query rows into one matrix and evaluate
 it with one quadratic evaluator call per kernel, so the shared key set is
 validated and mapped (phi_k(K)) once per kernel rather than once per row.
 The price is memory: the call holds n_dirs * len(c_grid) x N weights.
+norm_entropy_sweep returns each kernel's entropies as one (n_dirs,
+len(c_grid)) array, direction by scale, which nala.checks.norm_response
+judges; norm_entropy_experiment's EntropyScanRecord list is the flat view
+of the same arrays, for CSV output.
 In the same way, pse_of_exp and theorem1_scan take an (m, N) stack of
 exponential rows and scan all of them over the scale grid in one call,
 and concavity_probe probes every coordinate of an (m, N) stack in one
@@ -38,15 +42,10 @@ import numpy as np
 from .attention import nala_quadratic, row_entropy_nats, softmax_attention
 from .errors import DegenerateSequence, InvalidPerturbation, NonPositiveSum
 from .kernels import KernelSpec
-from .linalg import as_matrix, as_vector, rescale_rows
+from .linalg import as_rows, rescale_rows
 
 #: Pseudo-kernel id used when a scan includes the softmax oracle.
 SOFTMAX_ID = "softmax"
-
-
-def _as_rows(x) -> np.ndarray:
-    """One finite row, or a finite (m, N) stack of rows."""
-    return as_matrix(x) if np.ndim(x) == 2 else as_vector(x)
 
 
 def pse(values) -> float | np.ndarray:
@@ -84,7 +83,7 @@ def pse_of_exp(x, c) -> float | np.ndarray:
     (m, len(c), N) array for a stack and a grid; one row at one scale
     gives a float.
     """
-    x = _as_rows(x)
+    x = as_rows(x)
     c = np.asarray(c, dtype=np.float64)
     if not np.all((c >= 0) & (c < np.inf)):
         raise ValueError("scales must be finite and nonnegative")
@@ -125,7 +124,7 @@ def theorem1_scan(x, c_grid) -> Theorem1Scan:
     rows are rejected: their entropy is ln N at every scale, so no
     threshold exists.  A tied (non-unique) maximum is flagged but scanned.
     """
-    x = _as_rows(x)
+    x = as_rows(x)
     c = np.asarray(c_grid, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
         raise ValueError("c_grid must hold at least two scales")
@@ -143,6 +142,14 @@ def theorem1_scan(x, c_grid) -> Theorem1Scan:
     if x.ndim == 1:
         return Theorem1Scan(int(c0), ents, bool(run > 0), bool(tied))
     return Theorem1Scan(c0, ents, run > 0, tied)
+
+
+def _positive_scales(c_grid) -> np.ndarray:
+    """c_grid as float64; ValueError unless every scale is finite and positive."""
+    c = np.asarray(c_grid, dtype=np.float64)
+    if not np.all((c > 0) & (c < np.inf)):
+        raise ValueError("scales must be finite and positive")
+    return c
 
 
 def _row_entropies(Q, K, spec: KernelSpec | None) -> np.ndarray:
@@ -182,9 +189,40 @@ def entropy_deviation_scan(q_dir, K, spec: KernelSpec | None, c_grid) -> tuple[n
     is len(c_grid) x N floats.
     """
     u = np.asarray(q_dir, dtype=np.float64)
-    c = np.asarray(c_grid, dtype=np.float64)
+    c = _positive_scales(c_grid)
     ents = _row_entropies(c[:, None] * u, K, spec)
     return ents, float(ents.max() - ents.min())
+
+
+def norm_entropy_sweep(
+    rng: np.random.Generator, spec_list: list[KernelSpec], n_dirs: int, N: int, d: int, c_grid,
+    softmax_too: bool = False,
+) -> dict[str, np.ndarray]:
+    """Entropies of the rows c * u over one key set, as one (n_dirs, len(c_grid)) array per kernel.
+
+    Draws one Gaussian key set K (N x d), then n_dirs unit query
+    directions u.  Row i of a kernel's array is direction i, column j the
+    scale c_grid[j].  The arrays are keyed by kernel id, in spec_list order,
+    then SOFTMAX_ID for the softmax oracle when softmax_too; the kinds in
+    spec_list must be distinct.  Each kernel pass is one evaluator call on
+    all n_dirs * len(c_grid) rows, so phi_k(K) is mapped once per pass and
+    the call holds n_dirs * len(c_grid) x N weights.
+    """
+    if N < 4 or d < 2:
+        raise ValueError("experiment needs N >= 4 keys and d >= 2 dimensions")
+    c = _positive_scales(c_grid)
+    passes = [(spec.kind.value, spec) for spec in spec_list]
+    if softmax_too:
+        passes.append((SOFTMAX_ID, None))
+    if len({kernel_id for kernel_id, _ in passes}) < len(passes):
+        raise ValueError("kernel kinds must be distinct: the sweep keys its arrays by kernel id")
+    K = rng.standard_normal((N, d))
+    dirs = rng.standard_normal((n_dirs, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # Direction-major rows: row i is c[i % len(c)] * dirs[i // len(c)].
+    Q = (dirs[:, None, :] * c[:, None]).reshape(-1, d)
+    return {kernel_id: _row_entropies(Q, K, spec).reshape(n_dirs, c.size)
+            for kernel_id, spec in passes}
 
 
 @dataclass
@@ -217,57 +255,35 @@ def pearson(xs, ys) -> float:
 
 
 def norm_entropy_experiment(
-    rng: np.random.Generator,
-    spec_list: list[KernelSpec],
-    n_dirs: int,
-    N: int,
-    d: int,
-    c_grid,
+    rng: np.random.Generator, spec_list: list[KernelSpec], n_dirs: int, N: int, d: int, c_grid,
     softmax_too: bool = False,
 ) -> tuple[list[EntropyScanRecord], dict[str, float]]:
-    """Entropy-vs-query-norm sweep over random directions and a fixed key set.
+    """norm_entropy_sweep's entropies as records, plus each kernel's pooled Pearson.
 
-    Draws one Gaussian key set K (N x d) and n_dirs unit query directions,
-    then records the attention-row entropy of c * u over K for every
-    (kernel, direction, scale) triple: kernel, then direction, then
-    scale.  Each kernel pass is one evaluator call on all n_dirs *
-    len(c_grid) rows, so phi_k(K) is mapped once per pass and the call
-    holds n_dirs * len(c_grid) x N weights.  Returns the records
-    and, per kernel id, the Pearson correlation between query norm and
-    entropy across all of that kernel's records (nan when the entropies do
-    not vary).
+    One EntropyScanRecord per (kernel, direction, scale) triple, in that
+    order: the sweep's arrays flattened row by row.  The correlations are,
+    per kernel id, the Pearson correlation between query norm and entropy
+    across all of that kernel's records (nan when the entropies do not
+    vary).
 
     The pooled correlation mixes two things: the response of each
     direction's entropy to the norm, and the offsets between directions'
     mean entropies.  Where the offsets are as large as the per-direction
     response (the norm-aware kernel at the default sweep), it is weak even
-    though every direction's curve is strictly decreasing; judge the norm
-    response per direction from the records.
+    though every direction's curve is strictly decreasing;
+    nala.checks.norm_response judges the norm response per direction.
     """
-    if N < 4 or d < 2:
-        raise ValueError("experiment needs N >= 4 keys and d >= 2 dimensions")
-    K = rng.standard_normal((N, d))
-    dirs = rng.standard_normal((n_dirs, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    c_grid = np.asarray(c_grid, dtype=np.float64)
-
-    passes: list[tuple[str, KernelSpec | None]] = [
-        (spec.kind.value, spec) for spec in spec_list
-    ]
-    if softmax_too:
-        passes.append((SOFTMAX_ID, None))
-
+    sweep = norm_entropy_sweep(rng, spec_list, n_dirs, N, d, c_grid, softmax_too)
+    c = np.asarray(c_grid, dtype=np.float64)
+    norms = np.tile(c, n_dirs)
+    norm_list, dir_ids = norms.tolist(), np.repeat(np.arange(n_dirs), c.size).tolist()
     records: list[EntropyScanRecord] = []
     correlations: dict[str, float] = {}
-    # Direction-major rows: row i is c_grid[i % len] * dirs[i // len].
-    Q = (dirs[:, None, :] * c_grid[:, None]).reshape(-1, d)
-    norms = np.tile(c_grid, n_dirs)
-    dir_ids = np.repeat(np.arange(n_dirs), c_grid.size)
-    for kernel_id, spec in passes:
-        ents = _row_entropies(Q, K, spec)
+    for kernel_id, ents in sweep.items():
+        ents = ents.ravel()
         records.extend(
-            EntropyScanRecord(kernel_id, c, H, i)
-            for c, H, i in zip(norms.tolist(), ents.tolist(), dir_ids.tolist())
+            EntropyScanRecord(kernel_id, norm, H, i)
+            for norm, H, i in zip(norm_list, ents.tolist(), dir_ids)
         )
         correlations[kernel_id] = pearson(norms, ents)
     return records, correlations
@@ -285,7 +301,7 @@ def concavity_probe(x, index, h_grid) -> np.ndarray:
     coordinate to zero or below are rejected; the entropy's derivative is
     unbounded there and the difference would be meaningless.
     """
-    x = _as_rows(x)
+    x = as_rows(x)
     coords = np.atleast_1d(np.asarray(index))
     h = np.asarray(h_grid, dtype=np.float64)
     at = x[..., coords]

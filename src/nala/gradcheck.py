@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NearSingular, NonFinite
 from .kernels import SQUASH_SCALE, KernelSpec, _norm_direction, direction_squash, power_exponent
-from .linalg import as_matrix, as_vector
+from .linalg import as_rows
 
 #: Entries below this in magnitude are too near the |.|^p kink for a
 #: central difference of step 1e-5.
@@ -69,11 +69,6 @@ def _quiet_overflow():
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _as_points(x) -> np.ndarray:
-    """One finite point (d,) as a stack of one, or a finite (m, d) stack."""
-    return as_matrix(x) if np.ndim(x) == 2 else as_vector(x)[None]
-
-
 def _diag(v) -> np.ndarray:
     """A stack of diagonal matrices, np.diag of each row of v."""
     out = np.zeros(v.shape + v.shape[-1:])
@@ -91,7 +86,7 @@ def finite_diff_jacobian(f, x, step_scale: float = 1e-5) -> np.ndarray:
     perturbed points of each side go through one call, f(x + diag(h)) and
     f(x - diag(h)) with one diagonal per point.
     """
-    pts = _as_points(x)
+    pts = np.atleast_2d(as_rows(x))
     h = step_scale * np.maximum(1.0, np.abs(pts))
     step = _diag(h)
     with _quiet_overflow():
@@ -130,7 +125,7 @@ def jac_phi_q(q, spec: KernelSpec) -> np.ndarray:
 
     NearSingular if any point is near the kink; NonFinite if any overflows.
     """
-    n, u = _norm_direction(_as_points(q))
+    n, u = _norm_direction(np.atleast_2d(as_rows(q)))
     if _near_kink(u, direction=True).any():
         raise NearSingular(f"direction entry below {_kink_floor(u.shape[-1], True):g}; resample")
     with _quiet_overflow():
@@ -151,7 +146,7 @@ def jac_phi_k(k, spec: KernelSpec) -> np.ndarray:
 
     NearSingular if any point is near the kink; NonFinite if any overflows.
     """
-    pts = _as_points(k)
+    pts = np.atleast_2d(as_rows(k))
     if _near_kink(pts, direction=False).any():
         raise NearSingular(f"key entry below {SINGULAR_FLOOR:g}; resample the point")
     n, u = _norm_direction(pts)

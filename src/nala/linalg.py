@@ -40,6 +40,11 @@ def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray
     return m
 
 
+def as_rows(x) -> np.ndarray:
+    """One finite row (as_vector), or a finite (m, N) stack of rows (as_matrix) when x is 2-D."""
+    return as_matrix(x) if np.ndim(x) == 2 else as_vector(x)
+
+
 def rescale_rows(x, rows=True) -> tuple[np.ndarray, np.ndarray]:
     """(x / 2**e, e), e the frexp exponent of each row's largest |entry|; NonFinite on NaN or inf.
 

@@ -4,12 +4,11 @@ Run with `pytest -v tests/test_acceptance.py` for one pass/fail line per
 criterion; each test also prints a `criterion NN PASS` line with the
 measured margins.  The full-scale benchmark criterion takes about half a
 minute (26 s on a 2-core x86-64 host); everything else is seconds.
-Criteria 3-6, 8 and 9 call the nala.checks functions behind
-`nala verify-theorems` and `nala grad-check` with their own seeds; each
-asserts the verdict and that the bound is the one stated here.
+Criteria 3-9 call nala.checks functions with their own seeds (those of
+3-6, 8 and 9 are the ones `nala verify-theorems` and `nala grad-check`
+print); each asserts the verdict and that the bound is the one stated here.
 """
 
-import collections
 import dataclasses
 import math
 import time
@@ -28,16 +27,9 @@ from nala.attention import (
 )
 from nala.bench import run_scaling_sweep
 from nala.cli import max_rel_dev, parse_and_dispatch
-from nala.entropy import norm_entropy_experiment, pearson, theorem1_scan
+from nala.entropy import theorem1_scan
 from nala.errors import DegenerateSequence
-from nala.kernels import (
-    HOMOGENEOUS_KINDS,
-    KernelKind,
-    KernelSpec,
-    pairwise_similarity,
-    phi_k,
-    phi_q,
-)
+from nala.kernels import KernelSpec, pairwise_similarity, phi_k, phi_q
 from nala.linalg import make_rng
 
 
@@ -144,104 +136,22 @@ def test_criterion_06_scale_invariance_split():
 def test_criterion_07_entropy_norm_correlations():
     """Inverse entropy-norm correlation for norm-aware kernels; flat baselines.
 
-    One sweep (64 directions x 32 query norms over one key set) is held to:
-
-    * nala: along every direction the entropy strictly decreases as the
-      query norm grows, with per-direction pearson(norm, entropy) < -0.5.
-      The clause is taken per direction because the pooled correlation
-      mostly measures offsets between directions (their mean entropies
-      differ by about as much as one direction's curve moves), and the
-      saturating query exponent keeps even a strictly decreasing curve near
-      -0.6 against a linear norm axis.  A kernel without a norm response
-      fails: its curve is not strictly decreasing (its pearson is nan, or
-      noise when roundoff jitters it).
-    * softmax: pooled pearson(norm, entropy) < -0.5.
-    * positively homogeneous baselines (HOMOGENEOUS_KINDS: relu,
-      fixed_power): per-direction entropy variance <= 1e-12.
-    * one_plus_elu: the +1 breaks homogeneity, so its entropy moves a
-      little with the norm; this is the entropy gap instead - every
-      direction's entropy spread is smaller than the smallest softmax
-      spread over the same sweep.
-
-    The pooled nala pearson is still reported next to the per-direction
-    figures.
+    checks.norm_response on 64 directions x 32 query norms over one key set;
+    its docstring gives each kernel's clause and why.
     """
     start = time.perf_counter()
-    rng = make_rng(7)
-    specs = [
-        KernelSpec(kind=KernelKind.NALA, lam=2.0),
-        KernelSpec(kind=KernelKind.RELU),
-        KernelSpec(kind=KernelKind.ONE_PLUS_ELU),
-        KernelSpec(kind=KernelKind.FIXED_POWER, lam=2.0),
-    ]
-    records, corr = norm_entropy_experiment(
-        rng, specs, 64, 128, 16, np.geomspace(0.25, 16.0, 32), softmax_too=True
-    )
+    results = checks.norm_response(make_rng(7), 64, 128, 16, np.geomspace(0.25, 16.0, 32), 2.0)
     elapsed = time.perf_counter() - start
-
-    per_dir = collections.defaultdict(lambda: collections.defaultdict(list))
-    for r in records:
-        per_dir[r.kernel_id][r.direction_id].append((r.query_norm, r.entropy))
-    # kernel id -> direction id -> (norms, entropies), in increasing norm
-    curves = {
-        kernel_id: {i: np.array(sorted(pts)).T for i, pts in dirs.items()}
-        for kernel_id, dirs in per_dir.items()
-    }
-
-    def offending_dirs(kernel_id, holds):
-        return [i for i, (c, h) in curves[kernel_id].items() if not holds(c, h)]
-
-    def dir_stat(kernel_id, stat):
-        return [stat(c, h) for c, h in curves[kernel_id].values()]
-
-    def spread(c, h):
-        return float(h.max() - h.min())
-
-    def variance(c, h):
-        return float(np.var(h))
-
-    def decreasing(c, h):
-        return bool(np.all(np.diff(h) < 0))
-
-    softmax_min_spread = min(dir_stat("softmax", spread))
-    flat_ids = [s.kind.value for s in specs if s.kind in HOMOGENEOUS_KINDS]
-    offenders = {
-        "nala strictly decreasing with per-direction pearson < -0.5": offending_dirs(
-            "nala", lambda c, h: decreasing(c, h) and pearson(c, h) < -0.5
-        ),
-        **{
-            f"{kernel_id} per-direction variance <= 1e-12": offending_dirs(
-                kernel_id, lambda c, h: variance(c, h) <= 1e-12
-            )
-            for kernel_id in flat_ids
-        },
-        "one_plus_elu per-direction spread < min softmax spread": offending_dirs(
-            "one_plus_elu", lambda c, h: spread(c, h) < softmax_min_spread
-        ),
-    }
-    failed = [f"{name} fails at directions {ids}" for name, ids in offenders.items() if ids]
-    if not corr["softmax"] < -0.5:
-        failed.append("softmax pooled pearson < -0.5")
-    if flat_ids != ["relu", "fixed_power"]:
-        failed.append(f"flat controls are relu and fixed_power, got {flat_ids}")
-
-    nala_means = dir_stat("nala", lambda c, h: float(h.mean()))
-    nala_spreads = dir_stat("nala", spread)
-    detail = (
-        f"pooled pearson: nala {corr['nala']:.4f}, softmax {corr['softmax']:.4f}; "
-        f"nala direction offset std {np.std(nala_means):.3f} vs median in-direction "
-        f"spread {np.median(nala_spreads):.3f}; "
-        f"nala per direction: {sum(dir_stat('nala', decreasing))}/{len(nala_spreads)} "
-        f"strictly decreasing, pearson worst {np.nanmax(dir_stat('nala', pearson)):.4f}; "
-        "per-direction variance: "
-        + ", ".join(f"{k} {max(dir_stat(k, variance)):.2e}" for k in flat_ids)
-        + f"; one_plus_elu spread max {max(dir_stat('one_plus_elu', spread)):.3f} "
-        f"vs softmax spread min {softmax_min_spread:.3f} (one_plus_elu variance "
-        f"{max(dir_stat('one_plus_elu', variance)):.2e}); runtime {elapsed:.1f}s"
-    )
-    assert not failed, f"failed clauses: {failed}; {detail}"
+    kernel_ids = [r.name.split()[0] for r in results]
+    assert kernel_ids == ["nala", "relu", "fixed_power", "one_plus_elu", "softmax"]
+    nala, relu, fixed_power, _, softmax = results
+    assert nala.bound == softmax.bound == -0.5
+    assert relu.bound == fixed_power.bound == 1e-12
+    for r in results:
+        assert r.passed, f"{r.name}: {r.detail}"
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s"
-    _report(7, detail)
+    _report(7, "; ".join(f"{k}: {r.detail}" for k, r in zip(kernel_ids, results))
+            + f"; runtime {elapsed:.1f}s")
 
 
 def test_criterion_08_entropy_concavity_probe():

@@ -1,6 +1,5 @@
 """Tests for the command-line interface and CSV emission."""
 
-import collections
 import hashlib
 import math
 import os
@@ -147,14 +146,11 @@ class TestEntropyScan:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "kernel_id,query_norm,entropy,direction_id"
-        groups = collections.defaultdict(list)
-        for line in lines[1:]:
-            kernel_id, _, entropy, direction_id = line.split(",")
-            assert kernel_id == "relu"
-            groups[direction_id].append(float(entropy))
-        assert len(groups) == 4
-        for ents in groups.values():
-            assert np.var(ents) <= 1e-12
+        kernel_ids, _, ents, dir_ids = zip(*(line.split(",") for line in lines[1:]))
+        assert set(kernel_ids) == {"relu"}
+        # direction-major rows: 4 directions of 8 scales each
+        assert [int(i) for i in dir_ids] == [i for i in range(4) for _ in range(8)]
+        assert np.var(np.array(ents, dtype=float).reshape(4, 8), axis=1).max() <= 1e-12
 
     def test_softmax_pseudo_kernel(self, tmp_path):
         code, out = run(

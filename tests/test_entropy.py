@@ -14,6 +14,7 @@ from nala.entropy import (
     concavity_probe,
     entropy_deviation_scan,
     norm_entropy_experiment,
+    norm_entropy_sweep,
     pearson,
     pse,
     pse_of_exp,
@@ -270,6 +271,11 @@ class TestScaleInvarianceChecks:
         _, dev = entropy_deviation_scan(self.u, self.K, None, self.grid)
         assert dev > 0.1
 
+    @pytest.mark.parametrize("bad", [0.0, -2.0, np.inf, np.nan])
+    def test_non_positive_or_non_finite_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="scales must be finite and positive"):
+            entropy_deviation_scan(self.u, self.K, KernelSpec(), [bad, 1.0])
+
 
 class TestNormEntropyExperiment:
     def test_record_layout_and_ordering(self):
@@ -286,17 +292,14 @@ class TestNormEntropyExperiment:
             assert 0.0 <= r.entropy <= math.log(16) + 1e-9
 
     def test_homogeneous_kernel_entropy_constant_per_direction(self):
-        rng = make_rng(9)
         grid = np.geomspace(0.25, 16.0, 8)
-        records, corr = norm_entropy_experiment(
-            rng, [KernelSpec(kind="fixed_power")], 4, 16, 4, grid
-        )
-        for dir_id in range(4):
-            ents = [r.entropy for r in records if r.direction_id == dir_id]
-            assert np.var(ents) <= 1e-12
+        sweep = norm_entropy_sweep(make_rng(9), [KernelSpec(kind="fixed_power")], 4, 16, 4, grid)
+        ents = sweep["fixed_power"]
+        assert ents.shape == (4, 8)
+        assert np.var(ents, axis=1).max() <= 1e-12
         # per-direction entropies are constant, so the pooled covariance with
         # the (per-direction identical) scale grid cancels: nan or ~0
-        c = corr["fixed_power"]
+        c = pearson(np.tile(grid, 4), ents.ravel())
         assert math.isnan(c) or abs(c) < 1e-9
 
     def test_softmax_correlation_strongly_negative(self):
@@ -308,10 +311,28 @@ class TestNormEntropyExperiment:
     def test_norm_aware_entropy_decreases_along_every_direction(self):
         rng = make_rng(11)
         grid = np.geomspace(0.25, 16.0, 16)
-        records, _ = norm_entropy_experiment(rng, [KernelSpec()], 8, 32, 8, grid)
-        for dir_id in range(8):
-            ents = np.array([r.entropy for r in records if r.direction_id == dir_id])
-            assert np.all(np.diff(ents) < 0)
+        ents = norm_entropy_sweep(rng, [KernelSpec()], 8, 32, 8, grid)["nala"]
+        assert ents.shape == (8, 16)
+        assert np.all(np.diff(ents, axis=1) < 0)
+
+    def test_check_fails_every_direction_without_a_norm_response(self, monkeypatch):
+        # a constant query exponent makes nala's rows blind to the norm
+        grid = np.geomspace(0.25, 16.0, 16)
+        assert checks.norm_response(make_rng(11), 8, 32, 8, grid, 2.0)[0].passed
+        monkeypatch.setattr(kernels, "power_exponent", lambda norm, spec: spec.lam)
+        nala = checks.norm_response(make_rng(11), 8, 32, 8, grid, 2.0)[0]
+        assert not nala.passed
+        assert "0/8 directions strictly decreasing" in nala.detail
+        assert nala.detail.endswith(f"fails at directions {list(range(8))}")
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, np.inf, np.nan])
+    def test_non_positive_or_non_finite_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="scales must be finite and positive"):
+            norm_entropy_experiment(make_rng(1), [KernelSpec()], 2, 8, 4, [bad, 1.0])
+
+    def test_repeated_kernel_kind_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            norm_entropy_sweep(make_rng(1), [KernelSpec(), KernelSpec(lam=4.0)], 2, 8, 4, [1.0])
 
 
 _SWEEP_SPECS = [

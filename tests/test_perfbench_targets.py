@@ -1,11 +1,15 @@
-"""The benchmark names nala functions and `verify-theorems` lines; a rename
-would only surface as a failing benchmark run.  These tests load
-``perfbench/`` files by path (the benchmark is not a package) and check
-that every traced function and every allowed FAIL line still resolves."""
+"""The benchmark names nala functions and `verify-theorems` lines, and
+calls the library with its own arguments; a rename or an API change would
+only surface as a failing benchmark run.  These tests load ``perfbench/``
+files by path (the benchmark is not a package) and check that every traced
+function and every allowed FAIL line still resolves, and that one op of
+every workload runs and passes its own check."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from nala.cli import parse_and_dispatch
 
@@ -36,3 +40,9 @@ def test_certify_known_fail_matches_exactly_the_homogeneous_kernel_lines(capsys)
     lines = capsys.readouterr().out.splitlines()
     matching = [line.split()[1] for line in lines if known in line]
     assert matching == ["relu", "fixed_power"], lines
+
+
+@pytest.mark.parametrize("name", list(_load("workloads").WORKLOADS))
+def test_workload_op_passes_its_check(name):
+    workload = _load("workloads").WORKLOADS[name](1)
+    assert workload.check(workload.op())
