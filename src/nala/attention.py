@@ -23,6 +23,10 @@ sums, so the oracle's weights leave through the same division.
 
 The quadratic form is the reference: the linear and recurrent forms must
 reproduce it to near machine precision, which the test suite enforces.
+
+scipy.special is imported by the two functions that need it, gelu (erf) and
+row_entropy_nats (xlogy), on their first call, so `import nala` and the
+evaluators never load it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, xlogy
 
 from .errors import DimensionMismatch
 from .kernels import _MAP_BLOCK_ELEMS, KernelSpec, feature_maps
@@ -77,6 +80,9 @@ def row_entropy_nats(weights: np.ndarray) -> np.ndarray:
 
     Takes one temporary the size of weights.
     """
+    # imported here, not at module level: scipy.special takes ~0.3 s to import
+    from scipy.special import xlogy
+
     return -xlogy(weights, weights).sum(axis=-1)
 
 
@@ -228,6 +234,9 @@ def silu(x):
 
 def gelu(x):
     """Exact erf gelu, 0.5 * x * (1 + erf(x / sqrt 2)); erf and the rest run in place."""
+    # imported here, not at module level: scipy.special takes ~0.3 s to import
+    from scipy.special import erf
+
     x = np.asarray(x, dtype=np.float64)
     half = 0.5 * x
     # out= keeps a 0-d input an array, so erf can write into it

@@ -93,7 +93,9 @@ def run_scaling_sweep(
     runs, on a monotonic clock, with their minimum and interquartile range
     next to it.  Quadratic-memory evaluators are skipped (recorded with
     nan) above quad_cap.  Returns the records plus a slope per evaluator
-    fitted over its measured points.
+    fitted over its measured points.  n_grid must be non-empty, with
+    positive, distinct sizes in any order: a repeated N would fit a slope
+    through points that share one log N.
     """
     ids = list(evaluator_ids) if evaluator_ids is not None else list(EVALUATORS)
     unknown = set(ids) - set(EVALUATORS)
@@ -101,6 +103,8 @@ def run_scaling_sweep(
         raise ValueError(f"unknown evaluator ids: {sorted(unknown)}")
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    if not n_grid or min(n_grid) < 1 or len(set(n_grid)) != len(n_grid):
+        raise ValueError(f"n_grid must be non-empty, positive and distinct, got {list(n_grid)}")
 
     instances = [(n, [rng.standard_normal((n, d)) for _ in range(3)]) for n in n_grid]  # Q, K, V
     points = [(evaluator_id, n, qkv) for n, qkv in instances for evaluator_id in ids]

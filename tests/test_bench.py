@@ -9,6 +9,7 @@ import pytest
 
 from nala import bench
 from nala.bench import BenchRecord, EVALUATORS, fit_loglog_slope, run_scaling_sweep
+from nala.cli import parse_and_dispatch
 from nala.kernels import KernelSpec
 from nala.linalg import make_rng
 
@@ -117,6 +118,12 @@ class TestScalingSweep:
         with pytest.raises(ValueError):
             run_scaling_sweep(make_rng(3), [32], 4, KernelSpec(), evaluator_ids=["nope"])
 
+    @pytest.mark.parametrize("n_grid", [[], [0, 16], [16, 16]],
+                             ids=["empty", "non_positive", "repeated"])
+    def test_bad_grid_rejected(self, n_grid):
+        with pytest.raises(ValueError, match="n_grid"):
+            run_scaling_sweep(make_rng(3), n_grid, 4, KernelSpec(), evaluator_ids=["nala_linear"])
+
     def test_same_seed_same_checksums(self):
         a, _ = run_scaling_sweep(
             make_rng(4), [64], 8, KernelSpec(),
@@ -127,3 +134,10 @@ class TestScalingSweep:
             evaluator_ids=["nala_linear"], reps=1,
         )
         assert a[0].checksum == b[0].checksum
+
+
+@pytest.mark.parametrize("grid", [",", "0,16", "16,16"], ids=["empty", "non_positive", "repeated"])
+def test_cli_bad_grid_exits_2(grid, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert parse_and_dispatch(["bench", "--n-grid", grid, "--reps", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: n_grid") and not out.exists()

@@ -2,8 +2,9 @@
 calls the library with its own arguments; a rename or an API change would
 only surface as a failing benchmark run.  These tests load ``perfbench/``
 files by path (the benchmark is not a package) and check that every traced
-function and every allowed FAIL line still resolves, and that one op of
-every workload runs and passes its own check."""
+function and every allowed FAIL line still resolves, that one op of every
+workload runs and passes its own check, and that two traced ops agree on
+what the benchmark's traced run requires to be the same in every op."""
 
 import importlib
 import importlib.util
@@ -46,3 +47,24 @@ def test_certify_known_fail_matches_exactly_the_homogeneous_kernel_lines(capsys)
 def test_workload_op_passes_its_check(name):
     workload = _load("workloads").WORKLOADS[name](1)
     assert workload.check(workload.op())
+
+
+@pytest.mark.parametrize("name", list(_load("workloads").WORKLOADS))
+def test_traced_ops_pass_and_repeat_their_counts(name):
+    # a traced run reads incorrect when an op fails its check or when a call
+    # count or kernels.phi_k.rows differs between ops
+    tracing = _load("tracing")
+    workload = _load("workloads").WORKLOADS[name](1)
+    tracer = tracing.Tracer()
+    seen = []
+    for op_id in range(2):
+        tracer.install()
+        try:
+            result = tracer.run_op(op_id, workload.op)
+        finally:
+            tracer.uninstall()
+        assert workload.check(result)
+        _, names = tracing.self_times(tracer.spans)
+        calls = {span_name: calls for span_name, (calls, _) in names.items()}
+        seen.append((calls, tracing.row_count(tracer.key_inputs)))
+    assert seen[0] == seen[1]
