@@ -7,7 +7,7 @@ comes out nonnegative.
 
 import numpy as np
 
-from nala import KernelSpec, pairwise_similarity, phi_k, phi_q, power_exponent
+from nala import KernelSpec, phi_k, phi_q, power_exponent
 from nala.linalg import make_rng
 
 spec = KernelSpec(lam=2.0)
@@ -37,12 +37,12 @@ print(f"  phi_k(3k) / phi_k(k) = {np.round(phi_k(3 * k, spec) / phi_k(k, spec), 
 print("\nScaling a query does NOT factor out -- the exponent moves instead:")
 print(f"  phi_q(3q) / phi_q(q) = {np.round(phi_q(3 * q, spec) / fq, 4)}")
 
-print("\nOpposite signs are inhibited, never negated:")
-print(f"  sim(q,  q) = {pairwise_similarity(q, q, spec):.6f}")
-print(f"  sim(q, -q) = {pairwise_similarity(q, -q, spec):.6f}")
+print("\nOpposite signs are inhibited, never negated (similarity = phi_q(q) . phi_k(k)):")
+print(f"  sim(q,  q) = {fq @ fk:.6f}")
+print(f"  sim(q, -q) = {fq @ phi_k(-q, spec):.6f}")
 
 sims = [
-    pairwise_similarity(rng.standard_normal(16), rng.standard_normal(16), spec)
+    phi_q(rng.standard_normal(16), spec) @ phi_k(rng.standard_normal(16), spec)
     for _ in range(2000)
 ]
 print(f"\n2000 random Gaussian pairs: min similarity = {min(sims):.6f} (>= 0)")

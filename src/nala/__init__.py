@@ -34,7 +34,6 @@ from .kernels import (
     KernelSpec,
     baseline_map,
     direction_squash,
-    pairwise_similarity,
     phi_k,
     phi_q,
     power_exponent,

@@ -15,7 +15,6 @@ import numpy as np
 from .entropy import (
     SOFTMAX_ID,
     concavity_probe,
-    entropy_deviation_scan,
     norm_entropy_sweep,
     pearson,
     theorem1_scan,
@@ -53,27 +52,6 @@ def exp_entropy_threshold(rng: np.random.Generator) -> CheckResult:
                        monotone, total, f"{monotone}/{total} random unique-max rows, N in {sizes}")
 
 
-def scale_invariance_split(
-    rng: np.random.Generator, n: int, d: int, lam: float
-) -> list[CheckResult]:
-    """Over query scales [0.5, 8], relu and fixed_power row entropies stay flat; nala's move."""
-    K = rng.standard_normal((n, d))
-    u = rng.standard_normal(d)
-    u /= np.linalg.norm(u)
-    sweep = np.geomspace(0.5, 8.0, 16)
-    results = []
-    for kind in (KernelKind.RELU, KernelKind.FIXED_POWER, KernelKind.NALA):
-        _, dev = entropy_deviation_scan(u, K, KernelSpec(kind=kind, lam=lam), sweep)
-        detail = f"max deviation {dev:.3e} over scales [0.5, 8]"
-        if kind in HOMOGENEOUS_KINDS:
-            results.append(CheckResult(f"{kind.value} attention entropy is query-scale invariant",
-                                       dev <= 1e-12, dev, 1e-12, detail))
-        else:
-            results.append(CheckResult("nala attention entropy depends on the query norm",
-                                       dev > 1e-3, dev, 1e-3, detail))
-    return results
-
-
 def norm_response(
     rng: np.random.Generator, n_dirs: int, N: int, d: int, c_grid, lam: float
 ) -> list[CheckResult]:
@@ -82,16 +60,18 @@ def norm_response(
     Five results, in order.  nala: along every direction, strictly
     decreasing with pearson(norm, entropy) < -0.5 (the pooled pearson mostly
     measures offsets between directions, so it is only reported).  relu,
-    then fixed_power (HOMOGENEOUS_KINDS): per-direction variance <= 1e-12.
-    one_plus_elu, whose +1 breaks homogeneity: largest spread over the norms
-    below the smallest softmax spread.  softmax: pooled pearson < -0.5.  A
-    failing per-direction result names the directions that break it.
+    then fixed_power (HOMOGENEOUS_KINDS): per-direction spread (max - min)
+    <= 1e-12, scale invariance up to roundoff.  one_plus_elu, whose +1
+    breaks homogeneity: largest spread over the norms below the smallest
+    softmax spread.  softmax: pooled pearson < -0.5.  A failing
+    per-direction result names the directions that break it.
     """
     c = np.asarray(c_grid, dtype=np.float64)
     flat = [kind.value for kind in KernelKind if kind in HOMOGENEOUS_KINDS]
     specs = [KernelSpec(kind, lam) for kind in ("nala", *flat, "one_plus_elu")]
     ents = norm_entropy_sweep(rng, specs, n_dirs, N, d, c, softmax_too=True)
     norms = np.tile(c, n_dirs)
+    over = f"{n_dirs} direction" + "s" * (n_dirs != 1)
 
     def per_direction(kernel_id, claim, ok, measured, bound, detail):
         if not ok.all():
@@ -108,10 +88,10 @@ def norm_response(
         worst, -0.5, f"{decreasing.sum()}/{n_dirs} directions strictly decreasing, worst pearson "
         f"{worst:.4f} (pooled {pearson(norms, nala.ravel()):.4f})")]
     for kernel_id in flat:
-        var = ents[kernel_id].var(axis=1)
+        spread = np.ptp(ents[kernel_id], axis=1)
         results.append(per_direction(
-            kernel_id, "is flat in the query norm along every direction", var <= 1e-12, var.max(),
-            1e-12, f"max per-direction variance {var.max():.2e} over {n_dirs} directions"))
+            kernel_id, "is query-scale invariant along every direction", spread <= 1e-12,
+            spread.max(), 1e-12, f"max per-direction spread {spread.max():.3e} over {over}"))
     elu, soft = (np.ptp(ents[k], axis=1) for k in ("one_plus_elu", SOFTMAX_ID))
     results.append(per_direction(
         "one_plus_elu", "moves less with the query norm than softmax's", elu < soft.min(),
@@ -120,7 +100,7 @@ def norm_response(
     pooled = pearson(norms, ents[SOFTMAX_ID].ravel())
     results.append(CheckResult(
         "softmax attention entropy falls with the query norm", pooled < -0.5, pooled, -0.5,
-        f"pooled pearson {pooled:.4f} over {n_dirs} directions x {c.size} norms"))
+        f"pooled pearson {pooled:.4f} over {over} x {c.size} norms"))
     return results
 
 

@@ -23,7 +23,7 @@ from .checks import (
     entropy_concavity,
     exp_entropy_threshold,
     jacobians,
-    scale_invariance_split,
+    norm_response,
     similarity_nonnegative,
     trig_block_norm,
 )
@@ -177,7 +177,7 @@ def cmd_verify_theorems(args) -> int:
     spec = KernelSpec(lam=args.lam)
     results = [
         exp_entropy_threshold(rng),
-        *scale_invariance_split(rng, args.n, args.d, args.lam),
+        *norm_response(rng, 1, args.n, args.d, np.geomspace(0.5, 8.0, 16), args.lam),
         entropy_concavity(rng),
         similarity_nonnegative(rng, spec),
         trig_block_norm(rng, args.d, spec),

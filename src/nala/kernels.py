@@ -262,8 +262,3 @@ def feature_maps(spec: KernelSpec):
     fn = lambda x: baseline_map(x, spec)  # noqa: E731 - shared by both sides
     return fn, fn
 
-
-def pairwise_similarity(q, k, spec: KernelSpec) -> float:
-    """Kernel similarity map_q(q) . map_k(k); nonnegative for every kind."""
-    map_q, map_k = feature_maps(spec)
-    return float(map_q(np.asarray(q, dtype=np.float64)) @ map_k(np.asarray(k, dtype=np.float64)))

@@ -29,7 +29,7 @@ from nala.bench import run_scaling_sweep
 from nala.cli import max_rel_dev, parse_and_dispatch
 from nala.entropy import theorem1_scan
 from nala.errors import DegenerateSequence
-from nala.kernels import KernelSpec, pairwise_similarity, phi_k, phi_q
+from nala.kernels import KernelSpec, phi_k, phi_q
 from nala.linalg import make_rng
 
 
@@ -83,14 +83,14 @@ def test_criterion_03_similarity_nonnegativity():
     result = checks.similarity_nonnegative(make_rng(303), spec)
     assert result.bound == 0.0
     assert result.passed, result.detail
-    # the rowwise sweep is the same quantity the scalar operation computes
+    # the rowwise sweep is the same quantity as the 1-D map product of one pair
     rng = make_rng(303)
     qs = rng.standard_normal((100_000, 16))
     ks = rng.standard_normal((100_000, 16))
     rows = [0, 1234, 99_999]
     sims = np.sum(phi_q(qs[rows], spec) * phi_k(ks[rows], spec), axis=1)
     for sim, i in zip(sims, rows):
-        assert sim == pytest.approx(pairwise_similarity(qs[i], ks[i], spec), rel=1e-12)
+        assert sim == pytest.approx(phi_q(qs[i], spec) @ phi_k(ks[i], spec), rel=1e-12)
     _report(3, f"0 violations over 100000 pairs, min similarity {result.measured:.3e}")
 
 
@@ -123,14 +123,19 @@ def test_criterion_05_entropy_monotone_beyond_threshold():
 
 
 def test_criterion_06_scale_invariance_split():
-    """Homogeneous kernels ignore query scale; the norm-aware kernel does not."""
-    results = checks.scale_invariance_split(make_rng(7), 128, 16, 2.0)
-    assert [r.bound for r in results] == [1e-12, 1e-12, 1e-3]
+    """Homogeneous kernels ignore query scale; the norm-aware kernel does not.
+
+    checks.norm_response at verify-theorems' sizes and seed 7: one direction,
+    N=128, d=16, 16 query scales in [0.5, 8].
+    """
+    results = checks.norm_response(make_rng(7), 1, 128, 16, np.geomspace(0.5, 8.0, 16), 2.0)
+    nala, relu, fixed_power, _, softmax = results
+    assert nala.bound == softmax.bound == -0.5
+    assert relu.bound == fixed_power.bound == 1e-12
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
-    relu, fixed_power, nala = (r.measured for r in results)
-    _report(6, f"relu {relu:.2e}, fixed_power {fixed_power:.2e} (<= 1e-12); "
-               f"nala {nala:.2e} (> 1e-3)")
+    _report(6, f"relu {relu.measured:.2e}, fixed_power {fixed_power.measured:.2e} (<= 1e-12); "
+               f"nala pearson {nala.measured:.4f} (< -0.5)")
 
 
 def test_criterion_07_entropy_norm_correlations():

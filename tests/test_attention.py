@@ -12,7 +12,6 @@ from scipy.special import erf
 from nala import attention
 from nala.attention import (
     _CAUSAL_CHUNK as C,
-    DENOM_EPS,
     block_forward,
     gelu,
     layer_norm,
@@ -270,15 +269,15 @@ class TestCausalRecurrent:
 def longdouble_reference(Q, K, V, spec, causal):
     """Kernel attention from the float64 features, summed in np.longdouble.
 
-    The features are taken once in float64 and DENOM_EPS stays in the
-    denominator, so the reference judges only the evaluators' summation.
-    Causal sums are running sums, 512 rows of cumsum at a time.
+    The features are taken once in float64, so the reference judges only
+    the evaluators' summation.  Causal sums are running sums, 512 rows of
+    cumsum at a time.
     """
     fq = phi_q(Q, spec).astype(np.longdouble)
     fk = phi_k(K, spec).astype(np.longdouble)
     V = V.astype(np.longdouble)
     if not causal:
-        return (fq @ (fk.T @ V)) / (fq @ fk.sum(axis=0) + DENOM_EPS)[:, None]
+        return (fq @ (fk.T @ V)) / (fq @ fk.sum(axis=0))[:, None]
     num = np.empty(V.shape, dtype=np.longdouble)
     den = np.empty(V.shape[0], dtype=np.longdouble)
     state, z = 0, 0
@@ -289,7 +288,7 @@ def longdouble_reference(Q, K, V, spec, causal):
         num[rows] = np.einsum("tf,tfv->tv", fq[rows], kv)
         den[rows] = np.einsum("tf,tf->t", fq[rows], zs)
         state, z = kv[-1], zs[-1]
-    return num / (den + DENOM_EPS)[:, None]
+    return num / den[:, None]
 
 
 class TestBlockLoop:
@@ -298,7 +297,7 @@ class TestBlockLoop:
     @pytest.mark.parametrize("causal", [False, True])
     def test_long_sequence_matches_longdouble_sums(self, causal):
         # 2^14 + 37 rows end in a partial block; V + 3 keeps every output
-        # row away from zero.  Measured: linear 3.7e-15, causal 1.1e-15.
+        # row away from zero.  Measured: linear 3.9e-15, causal 1.1e-15.
         rng = make_rng(41)
         spec = KernelSpec(lam=2.0)
         Q, K, V = rng.standard_normal((3, 2**14 + 37, 8))
@@ -431,7 +430,21 @@ class TestCausalPrefix:
 
 
 class TestScaleCancellation:
-    """Row normalization cancels query scale exactly for homogeneous kernels."""
+    """Row normalization cancels query scale for homogeneous kernels, key scale for all."""
+
+    @pytest.mark.parametrize("evaluate", [nala_linear, nala_causal_recurrent, nala_quadratic])
+    @pytest.mark.parametrize("lam, c", [(4, 1e-3), (8, 1e-2), (2, 1e-6), (2, 1e-100), (2, 1e3)])
+    def test_key_scale_cancels(self, evaluate, lam, c):
+        # phi_k(c k) = c**lam phi_k(k) scales numerator and denominator alike.
+        # Measured at seed 3: at most 8.8e-16 of the largest output entry
+        # (1.8e-15 over seeds 0-29); the bound is ten times 8.8e-16, room for
+        # the changed summation order of other BLAS kernels.
+        rng = make_rng(3)
+        Q, K, V = rng.standard_normal((3, 64, 16))
+        spec = KernelSpec(lam=lam)
+        a = evaluate(Q, K, V, spec).output
+        b = evaluate(Q, c * K, V, spec).output
+        assert float(np.abs(b - a).max() / np.abs(a).max()) <= 10 * 8.8e-16
 
     def test_homogeneous_kernels_ignore_query_scale(self):
         rng = make_rng(16)

@@ -277,6 +277,13 @@ class TestVerifyTheorems:
         assert line == ("FAIL kernel similarities are nonnegative: "
                         "min similarity nan over 100000 Gaussian pairs")
 
+    @pytest.mark.parametrize("flag, value", [("--n", "3"), ("--d", "1")])
+    def test_too_small_sizes_are_errors(self, tmp_path, capsys, flag, value):
+        # the norm-response sweep needs N >= 4 keys and d >= 2 dimensions
+        code, _ = run(tmp_path, "verify-theorems", flag, value, name="report.txt")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: experiment needs N >= 4 keys")
+
     def test_trig_block_line_skips_underflowed_magnitudes(self, tmp_path):
         # at lambda 70 some |u_i|**lambda are subnormal or zero: no nan, no RuntimeWarning
         with warnings.catch_warnings():
@@ -295,9 +302,11 @@ GRAD_CHECK_SEED_7 = (
 )
 VERIFY_THEOREMS_SEED_7 = (
     "PASS exp-row entropy decreases beyond a scale threshold: 300/300 random unique-max rows, N in (4, 16, 64)\n"
-    "PASS relu attention entropy is query-scale invariant: max deviation 1.279e-13 over scales [0.5, 8]\n"
-    "PASS fixed_power attention entropy is query-scale invariant: max deviation 8.420e-13 over scales [0.5, 8]\n"
-    "PASS nala attention entropy depends on the query norm: max deviation 3.980e-02 over scales [0.5, 8]\n"
+    "PASS nala attention entropy falls with the query norm along every direction: 1/1 directions strictly decreasing, worst pearson -0.6977 (pooled -0.6977)\n"
+    "PASS relu attention entropy is query-scale invariant along every direction: max per-direction spread 8.882e-16 over 1 direction\n"
+    "PASS fixed_power attention entropy is query-scale invariant along every direction: max per-direction spread 8.882e-16 over 1 direction\n"
+    "PASS one_plus_elu attention entropy moves less with the query norm than softmax's: largest one_plus_elu spread 0.014 vs smallest softmax spread 1.598\n"
+    "PASS softmax attention entropy falls with the query norm: pooled pearson -0.9733 over 1 direction x 16 norms\n"
     "PASS entropy second differences nonpositive on random rows: max second difference -7.008e-02 over 50 rows x 12 coords\n"
     "PASS kernel similarities are nonnegative: min similarity 9.699e-03 over 100000 Gaussian pairs\n"
     "PASS sign encoding preserves the trig-block norm: max |sum(cos^2+sin^2) - d| = 3.553e-15 over 1000 directions\n"
@@ -309,8 +318,8 @@ VERIFY_THEOREMS_SEED_7 = (
 #: normalization must not move an output byte.
 STDOUT_SHA256 = {
     "block-demo": "6d79c2e4eab3827e0a14f5c53b48f19ca3662312113155c1b62190abdc84ab91",
-    "block-demo --causal": "25a65badcbab22cf5d261fa8192851eecd775e592dd6ac89c2aac6edb5a17b6a",
-    "equiv-check": "d2d8beb3ac5f920560f9cab1f12f9cb5f4856b982a70befdddd0f2477e476737",
+    "block-demo --causal": "e0e858eb024f0b336938fe6d57cc16de6272730a5a3f73c46c3802040aed612c",
+    "equiv-check": "a8f4eefec77163bd6a9310a4fa9527d24ee186d24826ea8417da0f91d8c20562",
     "entropy-scan": "f75b557ff844ea049e6cf0d15f53da29a6c5c7eb55d3430705cd002d104ee102",
 }
 
@@ -335,9 +344,11 @@ def test_seed_7_report_bytes(subcommand, expected, capsys):
 #: the maximum itself rather than by the power of two at the maximum.
 VERIFY_THEOREMS_SEED_81 = (
     "PASS exp-row entropy decreases beyond a scale threshold: 300/300 random unique-max rows, N in (4, 16, 64)\n"
-    "PASS relu attention entropy is query-scale invariant: max deviation 7.017e-14 over scales [0.5, 8]\n"
-    "PASS fixed_power attention entropy is query-scale invariant: max deviation 3.526e-13 over scales [0.5, 8]\n"
-    "PASS nala attention entropy depends on the query norm: max deviation 1.275e-01 over scales [0.5, 8]\n"
+    "PASS nala attention entropy falls with the query norm along every direction: 1/1 directions strictly decreasing, worst pearson -0.6813 (pooled -0.6813)\n"
+    "PASS relu attention entropy is query-scale invariant along every direction: max per-direction spread 0.000e+00 over 1 direction\n"
+    "PASS fixed_power attention entropy is query-scale invariant along every direction: max per-direction spread 8.882e-16 over 1 direction\n"
+    "PASS one_plus_elu attention entropy moves less with the query norm than softmax's: largest one_plus_elu spread 0.010 vs smallest softmax spread 1.651\n"
+    "PASS softmax attention entropy falls with the query norm: pooled pearson -0.9871 over 1 direction x 16 norms\n"
     "PASS entropy second differences nonpositive on random rows: max second difference -6.723e-02 over 50 rows x 12 coords\n"
     "PASS kernel similarities are nonnegative: min similarity 8.171e-03 over 100000 Gaussian pairs\n"
     "PASS sign encoding preserves the trig-block norm: max |sum(cos^2+sin^2) - d| = 3.553e-15 over 1000 directions\n"

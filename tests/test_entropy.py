@@ -276,6 +276,18 @@ class TestScaleInvarianceChecks:
         with pytest.raises(ValueError, match="scales must be finite and positive"):
             entropy_deviation_scan(self.u, self.K, KernelSpec(), [bad, 1.0])
 
+    @pytest.mark.parametrize("lam", [4.0, 8.0, 16.0])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_homogeneous_lines_pass_at_large_lambda(self, seed, lam):
+        # verify-theorems' sizes: one direction, N=128, d=16, scales [0.5, 8].
+        # Small keys at large lambda give small denominators; the readout
+        # adds nothing to them, so the spread stays at roundoff.
+        grid = np.geomspace(0.5, 8.0, 16)
+        _, relu, fixed_power, *_ = checks.norm_response(make_rng(seed), 1, 128, 16, grid, lam)
+        for r in (relu, fixed_power):
+            assert r.bound == 1e-12
+            assert r.passed, f"{r.name}: {r.detail}"
+
 
 class TestNormEntropyExperiment:
     def test_record_layout_and_ordering(self):

@@ -18,7 +18,7 @@ from nala.kernels import (
     _norm_direction,
     baseline_map,
     direction_squash,
-    pairwise_similarity,
+    feature_maps,
     phi_k,
     phi_q,
     power_exponent,
@@ -390,10 +390,6 @@ class TestNonFiniteRows:
                     fn(row, spec)
                 with pytest.raises(NonFinite):
                     fn(np.stack([np.ones(3), row]), spec)
-            with pytest.raises(NonFinite):
-                pairwise_similarity(row, np.ones(3), spec)
-            with pytest.raises(NonFinite):
-                pairwise_similarity(np.ones(3), row, spec)
 
 
 class TestBaselineMap:
@@ -427,6 +423,8 @@ class TestBaselineMap:
 
 
 class TestPairwiseSimilarity:
+    """The similarity of a pair is the map product phi_q(q) . phi_k(k)."""
+
     def test_equal_inputs_hit_cos_zero(self):
         # q = k makes every angle difference zero, so the similarity is the
         # plain product of the magnitude blocks
@@ -436,22 +434,20 @@ class TestPairwiseSimilarity:
         d = q.size
         fq, fk = phi_q(q, spec), phi_k(q, spec)
         mags = np.hypot(fq[:d], fq[d:]) * np.hypot(fk[:d], fk[d:])
-        assert pairwise_similarity(q, q, spec) == pytest.approx(mags.sum(), rel=1e-13)
+        assert fq @ fk == pytest.approx(mags.sum(), rel=1e-13)
 
     def test_opposed_directions_inhibited_but_positive(self):
         spec = KernelSpec(lam=2.0)
         q = np.full(4, 10.0)
-        sim = pairwise_similarity(q, -q, spec)
-        assert 0.0 < sim < pairwise_similarity(q, q, spec)
+        sim = phi_q(q, spec) @ phi_k(-q, spec)
+        assert 0.0 < sim < phi_q(q, spec) @ phi_k(q, spec)
 
     def test_baseline_similarity_nonnegative(self):
         rng = make_rng(20)
         for kind in (KernelKind.RELU, KernelKind.ONE_PLUS_ELU, KernelKind.FIXED_POWER):
-            spec = KernelSpec(kind=kind)
+            map_q, map_k = feature_maps(KernelSpec(kind=kind))
             for _ in range(50):
-                assert pairwise_similarity(
-                    rng.standard_normal(8), rng.standard_normal(8), spec
-                ) >= 0.0
+                assert map_q(rng.standard_normal(8)) @ map_k(rng.standard_normal(8)) >= 0.0
 
     def test_check_holds_one_block_of_features(self):
         # whole 10^5 x 32 feature arrays for both sides would peak at 74 MiB;
