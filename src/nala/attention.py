@@ -12,9 +12,12 @@ Four evaluators share one contract (rows of Q attend over rows of K/V):
 
 The two O(N) forms are one block loop, _stream.  It maps K (and, causally,
 Q) one block of rows at a time, so no (N, 2d) feature array is formed, and
-folds each block into the running state S = sum map_k(k_i) (x) v_i,
-z = sum map_k(k_i).  Any block order of the sums is exact up to
-summation order (Katharopoulos et al. 2020, arXiv 2006.16236).
+folds keys into the running state S = sum map_k(k_i) (x) v_i,
+z = sum map_k(k_i) in one place, its fold.  Any block order of the sums is
+exact up to summation order (Katharopoulos et al. 2020, arXiv 2006.16236).
+Causally, each block runs through _row_tiles, the padded-tile loop of
+block_forward's rowwise stages: a tile of _CAUSAL_CHUNK rows reads the
+state and its own masked block, then is folded.
 
 All three kernel evaluators normalize through one readout, _readout:
 num / den, with a zero denominator (a row whose similarities are all zero)
@@ -122,52 +125,43 @@ def _readout(num, den) -> np.ndarray:
     return np.divide(num, np.where(den > 0, den, 1.0)[:, None], out=num)
 
 
-def _pad_rows(a, rows):
-    """A copy of a with zero rows appended up to `rows` rows."""
-    out = np.zeros((rows, a.shape[1]))
-    out[: a.shape[0]] = a
-    return out
-
-
 def _stream(Q, K, V, spec: KernelSpec, causal: bool) -> AttentionResult:
     """The block loop of both O(N) evaluators; inputs already validated.
 
     Blocks hold max(1, _MAP_BLOCK_ELEMS // d) rows, one chunk of the map
-    driver, so each map call works on cache-sized arrays.  Non-causal:
-    every key block is mapped and folded into (S, z), then every query
-    block is mapped and read out.  Causal: each block maps its queries and
-    keys, and runs _CAUSAL_CHUNK-row chunks; a block holds whole chunks, so
-    the chunks are those of one unblocked pass and the output does not
-    depend on the block size.  The last chunk, if partial, is zero-padded
-    to the full chunk and its pad rows are dropped from the output: every
-    chunk then runs its gemms and row sums at one shape, so row t's bytes
-    do not depend on how many rows follow it.  Zero features add nothing
-    to a sum (nala.kernels), so the pad changes no value.
+    driver, so each map call works on cache-sized arrays.  fold adds keys
+    to the running state (S, z).  Non-causal: every key block is folded,
+    then every query block is mapped and read out.  Causal: each block maps
+    its queries and keys once and runs them through _row_tiles; each tile
+    reads the state plus its own masked block, then is folded.  A causal
+    block holds whole _CAUSAL_CHUNK-row tiles, so the tiles, and the
+    output, do not depend on the block size.
     """
     map_q, map_k = feature_maps(spec)
     rows = max(1, _MAP_BLOCK_ELEMS // Q.shape[1])
-    chunk = _CAUSAL_CHUNK if causal else rows
-    rows = max(chunk, rows - rows % chunk)
+    rows = max(_CAUSAL_CHUNK, rows - rows % _CAUSAL_CHUNK) if causal else rows
     out = np.empty((Q.shape[0], V.shape[1]))
     state = zsum = None
+
+    def fold(fk, v):
+        nonlocal state, zsum
+        state += fk.T @ v
+        zsum += fk.sum(axis=0)
+
+    def tile(fq, fk, v):
+        sims = np.tril(fq @ fk.T)
+        read = _readout(fq @ state + sims @ v, fq @ zsum + sims.sum(axis=1))
+        fold(fk, v)
+        return read
+
     for i in range(0, K.shape[0], rows):
         fk, v = map_k(K[i : i + rows]), V[i : i + rows]
-        fq = map_q(Q[i : i + rows]) if causal else None
         if state is None:
             state, zsum = np.zeros((fk.shape[1], v.shape[1])), np.zeros(fk.shape[1])
-        for j in range(0, fk.shape[0], chunk):
-            c = slice(j, j + chunk)
-            if causal:
-                fq_c, fk_c, v_c = fq[c], fk[c], v[c]
-                filled = fk_c.shape[0]
-                if filled < chunk:  # the last chunk, zero-padded to the full shape
-                    fq_c, fk_c, v_c = (_pad_rows(a, chunk) for a in (fq_c, fk_c, v_c))
-                sims = np.tril(fq_c @ fk_c.T)
-                out[i + j : i + j + filled] = _readout(
-                    fq_c @ state + sims @ v_c, fq_c @ zsum + sims.sum(axis=1)
-                )[:filled]
-            state += fk[c].T @ v[c]
-            zsum += fk[c].sum(axis=0)
+        if causal:
+            out[i : i + rows] = _row_tiles(tile, V.shape[1], map_q(Q[i : i + rows]), fk, v)
+        else:
+            fold(fk, v)
     if not causal:
         for i in range(0, Q.shape[0], rows):
             fq = map_q(Q[i : i + rows])
@@ -359,10 +353,16 @@ def block_forward(X, params: BlockParams, spec: KernelSpec, causal: bool = False
 def _row_tiles(f, cols, *arrays) -> np.ndarray:
     """f over _CAUSAL_CHUNK-row tiles of the (n, .) arrays, into one (n, cols) output.
 
-    f takes one tile of each array and returns that tile's rows.  The last
-    tile, if partial, is zero-padded to the full tile, as _stream pads its
-    last chunk, and its pad rows are dropped; f must be rowwise, so the pad
-    changes no real row.
+    f takes one tile of each array, in order, and returns that tile's rows;
+    row t of f's output must depend on no row after t, as for a rowwise f
+    (block_forward's stages) or a causal one (_stream's tiles).  The last
+    tile, if partial, is zero-padded to the full tile and its pad rows are
+    dropped, so the pad changes no real row, and every tile runs its gemms
+    and row sums at one shape: row t's bytes do not depend on how many rows
+    follow it.  _stream's tile also folds the pad rows into its state.
+    That is harmless: zero features add nothing to a sum (nala.kernels),
+    and since its blocks hold whole tiles, the padded tile is the
+    sequence's last, after which the state is not read.
     """
     n = arrays[0].shape[0]
     out = np.empty((n, cols))
@@ -370,6 +370,6 @@ def _row_tiles(f, cols, *arrays) -> np.ndarray:
         tile = [a[i : i + _CAUSAL_CHUNK] for a in arrays]
         filled = tile[0].shape[0]
         if filled < _CAUSAL_CHUNK:
-            tile = [_pad_rows(a, _CAUSAL_CHUNK) for a in tile]
+            tile = [np.pad(a, ((0, _CAUSAL_CHUNK - filled), (0, 0))) for a in tile]
         out[i : i + filled] = f(*tile)[:filled]
     return out

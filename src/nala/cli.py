@@ -41,7 +41,7 @@ class EquivRecord:
     n: int
     d: int
     lam: float = field(metadata={"csv": "lambda"})
-    max_rel_dev: float = field(metadata={"csv": "max_rel_dev"})
+    max_rel_dev: float
 
 
 @dataclass
