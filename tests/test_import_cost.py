@@ -1,10 +1,9 @@
-"""`import nala` and the CLI commands that need no erf and no entropy never
-load scipy.
+"""`import nala` and every CLI command but block-demo never load scipy.
 
 scipy.special takes ~0.3 s to import, more than the rest of nala together,
-so attention.gelu (erf) and attention.row_entropy_nats (xlogy) import it on
-their first call.  Each case runs in a fresh interpreter, because this test
-process has loaded scipy already.
+so attention.gelu, the only user (erf), imports it on its first call; the
+entropy commands take their logs from numpy.  Each case runs in a fresh
+interpreter, because this test process has loaded scipy already.
 """
 
 import os
@@ -43,7 +42,9 @@ def _dispatch(command):
     "import nala",
     _dispatch("grad-check"),
     _dispatch("equiv-check"),
-], ids=["import", "grad-check", "equiv-check"])
+    _dispatch("entropy-scan"),
+    _dispatch("verify-theorems"),
+], ids=["import", "grad-check", "equiv-check", "entropy-scan", "verify-theorems"])
 def test_scipy_not_loaded(statement, tmp_path):
     assert not _scipy_loaded(statement, tmp_path)
 
