@@ -114,13 +114,13 @@ def _norm_direction(x):
     """
     x = np.asarray(x, dtype=np.float64)
     sq = np.einsum("...i,...i->...", x, x)[..., None]
-    out_of_range = ~((sq >= _FLOAT64.tiny) & (sq <= _FLOAT64.max))
-    if not out_of_range.any():
+    if sq.min() >= _FLOAT64.tiny and sq.max() <= _FLOAT64.max:
         norms = np.sqrt(sq)
         return norms, x / norms
-    # A non-finite entry makes its row's squared norm NaN or inf, so only
-    # this branch can meet one; rescale_rows raises NonFinite for it.
-    x, e = rescale_rows(x, out_of_range)
+    # A non-finite entry makes its row's squared norm NaN or inf, which
+    # fails the test above (a NaN fails both comparisons), so only this
+    # branch can meet one; rescale_rows raises NonFinite for it.
+    x, e = rescale_rows(x, ~((sq >= _FLOAT64.tiny) & (sq <= _FLOAT64.max)))
     norms = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
     return np.ldexp(norms, e), np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 

@@ -1,5 +1,6 @@
 """Tests for the attention evaluators and the gated block."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -73,6 +74,16 @@ class TestSoftmaxAttention:
         r = softmax_attention(Q, K, V)
         np.testing.assert_allclose(r.weights, naive_softmax_weights(Q, K), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # it maps nothing, so it scans Q and K itself
+        rng = make_rng(3)
+        for i in range(3):
+            qkv = list(rng.standard_normal((3, 5, 4)))
+            qkv[i][2, 1] = bad
+            with pytest.raises(NonFinite):
+                softmax_attention(*qkv)
+
     def test_scaling_keys_changes_weights(self):
         rng = make_rng(4)
         Q, K, V = rng.standard_normal((3, 8, 4))
@@ -140,14 +151,16 @@ class TestRowEntropy:
             )
 
     def test_matches_pse_row_by_row(self):
+        # pse calls row_entropy_nats, so both are held to a reference that
+        # calls neither: an exactly rounded sum of libm's -w log w per row
         rng = make_rng(26)
         w = rng.random((2100, 40))
         w[rng.random(w.shape) < 0.3] = 0.0
         w[0] = np.eye(40)[7]
         w /= w.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(
-            row_entropy_nats(w), [pse(row) for row in w], rtol=1e-13, atol=1e-15
-        )
+        ref = [-math.fsum(x * math.log(x) for x in row if x) for row in w]
+        for h in (row_entropy_nats(w), [pse(row) for row in w]):
+            np.testing.assert_allclose(h, ref, rtol=1e-13, atol=1e-15)
 
 
 class TestQuadraticEvaluator:
@@ -431,12 +444,50 @@ class TestBlockLoop:
     @pytest.mark.parametrize("evaluate", [nala_linear, nala_causal_recurrent, nala_quadratic])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, evaluate, bad):
+        # the maps check Q and K for every kind, _check_qkv checks V; the
+        # entry goes in the first 1024-row block and in the partial last one
+        n = 2 * 1024 + 37
         rng = make_rng(45)
-        for i in range(3):
-            qkv = list(rng.standard_normal((3, 5, 4)))
-            qkv[i][2, 1] = bad
-            with pytest.raises(NonFinite):
-                evaluate(*qkv, KernelSpec())
+        for kind in KernelKind:
+            for i in range(3):
+                for row in (1, n - 2):
+                    qkv = list(rng.standard_normal((3, n, 32)))
+                    qkv[i][row, 5] = bad
+                    with pytest.raises(NonFinite):
+                        evaluate(*qkv, KernelSpec(kind=kind))
+
+
+#: sha256 of each evaluator's output bytes on _evaluator_pin_bytes' inputs.
+#: A change to the block loop, the fold or the readout must not move a bit.
+EVALUATOR_BYTES_SHA256 = {
+    "nala_linear": "515ac4c1f308ada2804eed4abf3f7602deff8c9ea986f8835480f33e34ec2deb",
+    "nala_causal_recurrent": "a67633055005c6765f1e655988f07d201d8fdbfbe2abd6b78d0224a79ae6ffc3",
+    "nala_quadratic": "7fe3717cc28ca0973f9c2e462e5fbd09b2de6f622cc8d97633819ca35e81bb5a",
+}
+
+
+def _evaluator_pin_bytes(evaluate):
+    """sha256 of evaluate's outputs, nala and relu at lambda 0.5, 2 and 8.
+
+    Each (N, d) input has one zero query row and one zero key row; at N = 1
+    both are row 0, so that output is the guarded 0.  N = 2085 ends in a
+    partial block and a partial causal tile.
+    """
+    h = hashlib.sha256()
+    for n, d in ((1, 3), (64, 16), (2 * 1024 + 37, 32)):
+        Q, K, V = make_rng(30).standard_normal((3, n, d))
+        Q[n // 2] = 0.0
+        K[n // 3] = 0.0
+        for kind in (KernelKind.NALA, KernelKind.RELU):
+            for lam in (0.5, 2.0, 8.0):
+                h.update(evaluate(Q, K, V, KernelSpec(kind=kind, lam=lam)).output.tobytes())
+    return h.hexdigest()
+
+
+class TestEvaluatorBytes:
+    @pytest.mark.parametrize("evaluate", [nala_linear, nala_causal_recurrent, nala_quadratic])
+    def test_output_bytes_pinned(self, evaluate):
+        assert _evaluator_pin_bytes(evaluate) == EVALUATOR_BYTES_SHA256[evaluate.__name__]
 
 
 class TestZeroRows:
