@@ -164,26 +164,24 @@ def trig_block_norm(rng: np.random.Generator, d: int, spec: KernelSpec) -> Check
 def jacobians(rng: np.random.Generator, d: int, spec: KernelSpec) -> list[CheckResult]:
     """Analytic phi_q and phi_k Jacobians against central differences at 50 admissible points.
 
-    The (q, k) pairs are drawn first, one pair at a time.  They are then
-    checked in stacks of max(1, _MAP_BLOCK_ELEMS // (2 d^2)) points (all 50
-    at d=16, 4 at d=64, 1 from d=128 on), so a stack's features and
+    The (q, k) pairs are drawn first, one pair at a time.  Each map is
+    then checked in stacks of max(1, _MAP_BLOCK_ELEMS // (2 d^2)) points
+    (all 50 at d=16, 4 at d=64, 1 from d=128 on), so a stack's features and
     Jacobians hold at most _MAP_BLOCK_ELEMS entries; each stack makes one
-    finite-difference, one Jacobian and one error call per map.
+    finite-difference, one Jacobian and one error call.
     """
     pairs = [(admissible_point(rng, d, direction=True), admissible_point(rng, d, direction=False))
              for _ in range(50)]
     qs, ks = (np.array(side) for side in zip(*pairs))
     step = max(1, _MAP_BLOCK_ELEMS // (2 * d * d))
-    worst = {"phi_q": 0.0, "phi_k": 0.0}
-    for i in range(0, 50, step):
-        q, k = qs[i : i + step], ks[i : i + step]
-        fd_q = finite_diff_jacobian(lambda v: phi_q(v, spec), q)
-        fd_k = finite_diff_jacobian(lambda v: phi_k(v, spec), k)
-        # np.maximum keeps a NaN error, which the builtin max would drop
-        worst["phi_q"] = float(np.maximum(worst["phi_q"], max_rel_error(jac_phi_q(q, spec), fd_q)))
-        worst["phi_k"] = float(np.maximum(worst["phi_k"], max_rel_error(jac_phi_k(k, spec), fd_k)))
-    return [
-        CheckResult(name, err <= GRAD_TOL, err, GRAD_TOL,
-                    f"max rel error {err:.9g} over 50 points (tol {GRAD_TOL:g})")
-        for name, err in worst.items()
-    ]
+    results = []
+    for name, fn, jac, pts in (("phi_q", phi_q, jac_phi_q, qs), ("phi_k", phi_k, jac_phi_k, ks)):
+        err = 0.0
+        for i in range(0, 50, step):
+            x = pts[i : i + step]
+            fd = finite_diff_jacobian(lambda v: fn(v, spec), x)
+            # np.maximum keeps a NaN error, which the builtin max would drop
+            err = float(np.maximum(err, max_rel_error(jac(x, spec), fd)))
+        results.append(CheckResult(name, err <= GRAD_TOL, err, GRAD_TOL,
+                                   f"max rel error {err:.9g} over 50 points (tol {GRAD_TOL:g})"))
+    return results

@@ -14,12 +14,15 @@ same on the angle side with a diagonal lambda |k_i|^(lambda-1) sign(k_i)
 magnitude path.  Both Jacobians differentiate the maps' own split,
 kernels._norm_direction.
 
-jac_phi_q, jac_phi_k and finite_diff_jacobian take one point (d,) or an
-(m, d) stack of points; one point runs as a stack of one, and each point
-of a stack gets the bytes of its own one-point call.  finite_diff_jacobian
-differentiates any map that takes rows: it evaluates the m*d perturbed
-points of each side as one (m, d, d) batch.  max_rel_error takes the
-matching Jacobian or stack of Jacobians.
+jac_phi_q and jac_phi_k share one body, _jacobian: like the maps' fill,
+the two Jacobians differ only in the magnitude path (m, dm); the split,
+the angle path and the [cos; sin] assembly are the same code.  They and
+finite_diff_jacobian take one point (d,) or an (m, d) stack of points,
+indexing over the leading axes, so a point runs as itself and each point
+of a stack gets the bytes of its own one-point call.
+finite_diff_jacobian differentiates any map that takes rows: all
+perturbed points of one side, d per point, go through one call.
+max_rel_error takes the matching Jacobian or stack of Jacobians.
 
 |u|^p has a kink at zero that a central difference must not straddle.  One
 rule, _near_kink, rejects points too close to it, point by point, in both
@@ -81,40 +84,48 @@ def finite_diff_jacobian(f, x, step_scale: float = 1e-5) -> np.ndarray:
     """Central-difference Jacobian, step h_j = step_scale * max(1, |x_j|).
 
     x is one point (d,), giving an (out_dim, d) array, or an (m, d) stack,
-    giving (m, out_dim, d).  f maps rows: given an (m, d, d) array it
-    returns one output row per input row, as phi_q and phi_k do.  The m*d
+    giving (m, out_dim, d).  f maps rows: given a (..., d, d) array it
+    returns one output row per input row, as phi_q and phi_k do.  The
     perturbed points of each side go through one call, f(x + diag(h)) and
     f(x - diag(h)) with one diagonal per point.
     """
-    pts = np.atleast_2d(as_rows(x))
-    h = step_scale * np.maximum(1.0, np.abs(pts))
+    x = as_rows(x)
+    h = step_scale * np.maximum(1.0, np.abs(x))
     step = _diag(h)
     with _quiet_overflow():
-        diff = np.asarray(f(pts[:, None, :] + step)) - np.asarray(f(pts[:, None, :] - step))
-    jac = np.swapaxes(diff / (2.0 * h)[..., None], -1, -2)
-    return jac[0] if np.ndim(x) == 1 else jac
+        diff = np.asarray(f(x[..., None, :] + step)) - np.asarray(f(x[..., None, :] - step))
+    return np.swapaxes(diff / (2.0 * h)[..., None], -1, -2)
 
 
 def _sech2(x):
     return 1.0 / np.cosh(x) ** 2
 
 
-def _angle_path(u, n):
-    """Angles, their u-derivatives, and du/dq for (m, d) unit directions u = q/n, n (m, 1)."""
-    du = (np.eye(u.shape[-1]) - u[..., :, None] * u[..., None, :]) / n[..., None]
-    a = direction_squash(u)
-    da = (SQUASH_SCALE * _sech2(u))[..., None] * du
-    return a, da, du
-
-
-def _assemble(m, dm, a, da):
-    """The [cos; sin] blocks' (m, 2d, d) Jacobians from the magnitude and angle paths.
-
-    NonFinite if any entry is not finite.
-    """
-    top = dm * np.cos(a)[..., None] - (m * np.sin(a))[..., None] * da
-    bottom = dm * np.sin(a)[..., None] + (m * np.cos(a))[..., None] * da
-    jac = np.concatenate([top, bottom], axis=-2)
+def _jacobian(x, spec: KernelSpec, query: bool) -> np.ndarray:
+    """The Jacobian of phi_q (query) or phi_k at x; the two differ only in (m, dm)."""
+    x = as_rows(x)
+    n, u = _norm_direction(x)
+    if _near_kink(u if query else x, query).any():
+        raise NearSingular(f"{'direction' if query else 'key'} entry below "
+                           f"{_kink_floor(x.shape[-1], query):g}; resample the point")
+    with _quiet_overflow():
+        du = (np.eye(x.shape[-1]) - u[..., :, None] * u[..., None, :]) / n[..., None]
+        a = direction_squash(u)
+        da = (SQUASH_SCALE * _sech2(u))[..., None] * du
+        if query:
+            au = np.abs(u)
+            p = power_exponent(n, spec)
+            dp = spec.lam * _sech2(n) * u  # row: dp/dq_j
+            m = au**p
+            dm = m[..., None] * (
+                np.log(au)[..., None] * dp[..., None, :] + (p * np.sign(u) / au)[..., None] * du
+            )
+        else:
+            m = np.abs(x) ** spec.lam
+            dm = _diag(spec.lam * np.sign(x) * np.abs(x) ** (spec.lam - 1.0))
+        top = dm * np.cos(a)[..., None] - (m * np.sin(a))[..., None] * da
+        bottom = dm * np.sin(a)[..., None] + (m * np.cos(a))[..., None] * da
+        jac = np.concatenate([top, bottom], axis=-2)
     if not np.isfinite(jac).all():
         raise NonFinite("Jacobian is not finite in float64 at this point and lambda")
     return jac
@@ -125,20 +136,7 @@ def jac_phi_q(q, spec: KernelSpec) -> np.ndarray:
 
     NearSingular if any point is near the kink; NonFinite if any overflows.
     """
-    n, u = _norm_direction(np.atleast_2d(as_rows(q)))
-    if _near_kink(u, direction=True).any():
-        raise NearSingular(f"direction entry below {_kink_floor(u.shape[-1], True):g}; resample")
-    with _quiet_overflow():
-        au = np.abs(u)
-        p = power_exponent(n, spec)
-        dp = spec.lam * _sech2(n) * u  # row: dp/dq_j
-        a, da, du = _angle_path(u, n)
-        m = au**p
-        dm = m[..., None] * (
-            np.log(au)[..., None] * dp[:, None, :] + (p * np.sign(u) / au)[..., None] * du
-        )
-        jac = _assemble(m, dm, a, da)
-    return jac[0] if np.ndim(q) == 1 else jac
+    return _jacobian(q, spec, query=True)
 
 
 def jac_phi_k(k, spec: KernelSpec) -> np.ndarray:
@@ -146,16 +144,7 @@ def jac_phi_k(k, spec: KernelSpec) -> np.ndarray:
 
     NearSingular if any point is near the kink; NonFinite if any overflows.
     """
-    pts = np.atleast_2d(as_rows(k))
-    if _near_kink(pts, direction=False).any():
-        raise NearSingular(f"key entry below {SINGULAR_FLOOR:g}; resample the point")
-    n, u = _norm_direction(pts)
-    with _quiet_overflow():
-        a, da, _ = _angle_path(u, n)
-        m = np.abs(pts) ** spec.lam
-        dm = _diag(spec.lam * np.sign(pts) * np.abs(pts) ** (spec.lam - 1.0))
-        jac = _assemble(m, dm, a, da)
-    return jac[0] if np.ndim(k) == 1 else jac
+    return _jacobian(k, spec, query=False)
 
 
 def max_rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:

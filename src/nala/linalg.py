@@ -1,9 +1,12 @@
 """Dense linear-algebra substrate: validated arrays, an exact rescale and a seeded RNG.
 
 Everything downstream works on float64 numpy arrays.  The helpers here add
-the validation the rest of the package relies on (finite entries, shape
-agreement) and pin the random number generator to a fixed algorithm so
-that identical seeds give identical streams.  rescale_rows is the one
+the validation the rest of the package relies on and pin the random number
+generator to a fixed algorithm so that identical seeds give identical
+streams.  as_matrix checks a 2-D array and, optionally, its shape;
+as_rows checks one row (N,) or an (m, N) stack of rows, the input of the
+Jacobians and the entropy scans.  Both raise DimensionMismatch for any
+other shape or an empty array, and NonFinite for a NaN or infinite entry.  rescale_rows is the one
 exact power-of-two rescale: the norm-direction split of the feature maps
 (nala.kernels), layer_norm (nala.attention) and pse (nala.entropy) run
 it on rows whose squares or sums would leave the float64 range.
@@ -14,16 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-
-
-def as_vector(x) -> np.ndarray:
-    """Coerce to a finite float64 vector."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFinite("vector entries must be finite")
-    return v
 
 
 def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -41,8 +34,13 @@ def as_matrix(x, rows: int | None = None, cols: int | None = None) -> np.ndarray
 
 
 def as_rows(x) -> np.ndarray:
-    """One finite row (as_vector), or a finite (m, N) stack of rows (as_matrix) when x is 2-D."""
-    return as_matrix(x) if np.ndim(x) == 2 else as_vector(x)
+    """Coerce to one finite float64 row (N,) or a finite (m, N) stack of rows, N >= 1."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.size < 1:
+        raise DimensionMismatch(f"expected one row or a 2-D stack of rows, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise NonFinite("row entries must be finite")
+    return v
 
 
 def rescale_rows(x, rows=True) -> tuple[np.ndarray, np.ndarray]:

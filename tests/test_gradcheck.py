@@ -1,7 +1,9 @@
 """Tests for the analytic Jacobians against the finite-difference harness."""
 
+import hashlib
 import tracemalloc
 
+import _exact
 import numpy as np
 import pytest
 
@@ -103,6 +105,56 @@ class TestStacks:
         assert code == 1
         assert lines[0] == "FAIL phi_q: max rel error nan over 50 points (tol 1e-06)"
         assert lines[1].startswith("PASS phi_k")
+
+
+#: sha256 of _jacobian_pin_bytes.  A change to the Jacobians or to the
+#: finite differences must not move a bit of their output.
+JACOBIAN_BYTES_SHA256 = "85a0b890f8361cc819d233f776c1804726b28efc082b4c537f4607b18bc504ba"
+
+
+def _jacobian_pin_bytes():
+    """Analytic and finite-difference Jacobians of both maps, d 1 to 64, lambda 0.5, 2 and 8.
+
+    Each case takes five admissible points as one stack, then the first
+    point alone.
+    """
+    h = hashlib.sha256()
+    for d in (1, 2, 8, 16, 64):
+        for lam in (0.5, 2.0, 8.0):
+            spec = KernelSpec(lam=lam)
+            for direction in (True, False):
+                f = (lambda v: phi_q(v, spec)) if direction else (lambda v: phi_k(v, spec))
+                jac = jac_phi_q if direction else jac_phi_k
+                rng = make_rng(100 * d + int(4 * lam))
+                pts = np.array([admissible_point(rng, d, direction) for _ in range(5)])
+                for x in (pts, pts[0]):
+                    h.update(jac(x, spec).tobytes())
+                    h.update(finite_diff_jacobian(f, x).tobytes())
+    return h.hexdigest()
+
+
+class TestJacobianBytes:
+    def test_output_bytes_pinned(self):
+        assert _jacobian_pin_bytes() == JACOBIAN_BYTES_SHA256
+
+
+class TestExactJacobians:
+    # against a 50-digit central difference (step 1e-20) of the exact maps;
+    # the analytic forms came within 3.9e-16 (query) and 2.3e-16 (key).
+    # This bounds the analytic Jacobians themselves, next to grad-check's
+    # 1e-6 against float64 finite differences
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("direction", [True, False], ids=["phi_q", "phi_k"])
+    def test_within_1e_13_of_exact_arithmetic(self, lam, direction):
+        spec = KernelSpec(lam=lam)
+        jac = jac_phi_q if direction else jac_phi_k
+        rng = make_rng(60 + int(4 * lam))
+        worst = 0.0
+        for _ in range(20):
+            x = admissible_point(rng, 8, direction)
+            ref = _exact.jacobian(x, lam, direction)
+            worst = max(worst, np.abs(jac(x, spec) - ref).max() / max(1.0, np.abs(ref).max()))
+        assert worst <= 1e-13, f"worst rel error {worst:.3e}"
 
 
 class TestMemory:

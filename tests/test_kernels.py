@@ -375,6 +375,24 @@ class TestNormSplitAtExtremeScales:
             assert not out[1].any()
             np.testing.assert_array_equal(out[0], fn(x[0], spec))
 
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 8.0])
+    def test_zero_squared_norm_is_not_a_zero_row(self, lam):
+        # row 3's squared norm underflows to exactly 0, as row 0's is 0: a
+        # split that took every sq == 0 row for a zero row would send the
+        # query to features of order 1e-58 instead of order 1
+        x = make_rng(23).standard_normal((6, 16))
+        x[0] = 0.0
+        x[3] = 0.0
+        x[3, :2] = [1.27e-229, -3e-230]
+        assert np.einsum("ij,ij->i", x, x)[3] == 0.0
+        spec = KernelSpec(lam=lam)
+        for fn in (phi_q, phi_k):
+            out = fn(x, spec)
+            for i, row in enumerate(x):
+                np.testing.assert_array_equal(out[i], fn(row, spec), err_msg=f"row {i}")
+            assert not out[0].any()
+        assert 0.5 < np.abs(phi_q(x[3], spec)).max() <= 1.0
+
 
 class TestNonFiniteRows:
     """A NaN or infinite entry raises NonFinite from every feature map."""
