@@ -6,10 +6,11 @@ generator to a fixed algorithm so that identical seeds give identical
 streams.  as_matrix checks a 2-D array and, optionally, its shape;
 as_rows checks one row (N,) or an (m, N) stack of rows, the input of the
 Jacobians and the entropy scans.  Both raise DimensionMismatch for any
-other shape or an empty array, and NonFinite for a NaN or infinite entry.  rescale_rows is the one
-exact power-of-two rescale: the norm-direction split of the feature maps
-(nala.kernels), layer_norm (nala.attention) and pse (nala.entropy) run
-it on rows whose squares or sums would leave the float64 range.
+other shape or an empty array, and NonFinite for a NaN or infinite entry.
+rescale_rows is the one exact power-of-two rescale: the norm-direction
+split of the feature maps (nala.kernels), layer_norm (nala.attention) and
+pse (nala.entropy) run it on rows whose squares or sums would leave the
+float64 range.
 """
 
 from __future__ import annotations
