@@ -117,25 +117,41 @@ def entropy_concavity(rng: np.random.Generator) -> CheckResult:
 
 
 def similarity_nonnegative(rng: np.random.Generator, spec: KernelSpec) -> CheckResult:
-    """No similarity phi_q(q) . phi_k(k) over 10^5 Gaussian pairs in 16 dimensions is negative.
+    """No similarity phi_q(q) . phi_k(k) is negative, by structure and over 1024^2 computed pairs.
 
-    All queries are drawn first, then the keys one block of map rows at a
-    time; the generator gives the same keys, and leaves the same state, as
-    one (10^5, 16) draw.  Memory is the queries plus one block of features.
-    np.minimum carries a NaN similarity across blocks, which the builtin
-    min would drop, so the minimum is NaN, and fails, if any similarity is.
+    1024 query rows, then 1024 key rows, are drawn in 16 dimensions, the
+    same stream, and the same final generator state, as one (2, 1024, 16)
+    draw.  Two clauses must hold, and a FAIL names each one that does not:
+
+    * structural: every feature entry is finite, and in every row on both
+      sides each coordinate's cos entry is >= the absolute value of its
+      sin entry.  Then each coordinate of any pair gives
+      c_q c_k + s_q s_k >= c_q c_k - |s_q| |s_k| >= 0, so no pair of the
+      mapped rows can have a negative true similarity;
+    * computed: the least of all 1024^2 dot products fq @ fk.T is >= 0.
+      It judges the rounding, which the structural clause does not see: a
+      pair whose true value is near 0 could still be computed below it.
+
+    .min() keeps a NaN, so a NaN similarity makes the minimum NaN, and fails.
     """
-    n, d = 100_000, 16
-    qs = rng.standard_normal((n, d))
-    step = _MAP_BLOCK_ELEMS // d
-    low = np.inf
-    for i in range(0, n, step):
-        q = qs[i : i + step]
-        sims = np.einsum("ij,ij->i", phi_q(q, spec), phi_k(rng.standard_normal(q.shape), spec))
-        low = np.minimum(low, sims.min())
-    low = float(low)
-    return CheckResult("kernel similarities are nonnegative", low >= 0.0, low, 0.0,
-                       f"min similarity {low:.3e} over {n} Gaussian pairs")
+    n, d = 1024, 16
+    fq = phi_q(rng.standard_normal((n, d)), spec)
+    fk = phi_k(rng.standard_normal((n, d)), spec)
+    low = float((fq @ fk.T).min())
+    faults = [] if low >= 0.0 else ["computed clause fails"]
+    for side, f in (("query", fq), ("key", fk)):
+        finite = np.isfinite(f).all(axis=1)
+        dominant = (f[:, :d] >= np.abs(f[:, d:])).all(axis=1)
+        for what, count in (("a non-finite entry", n - finite.sum()),
+                            ("cos < |sin|", (finite & ~dominant).sum())):
+            if count:
+                faults.append(f"structural clause fails: {what} in {count} of {n} {side} rows")
+    detail = f"min similarity {low:.3e} over {n * n} Gaussian pairs"
+    if faults:
+        detail += "; " + "; ".join(faults)
+    else:
+        detail += f", cos >= |sin| in all {2 * n} feature rows"
+    return CheckResult("kernel similarities are nonnegative", not faults, low, 0.0, detail)
 
 
 def trig_block_norm(rng: np.random.Generator, d: int, spec: KernelSpec) -> CheckResult:

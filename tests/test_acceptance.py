@@ -78,20 +78,18 @@ def test_criterion_02_causal_consistency():
 
 
 def test_criterion_03_similarity_nonnegativity():
-    """10^5 Gaussian query/key pairs produce no negative similarity."""
+    """All 1024^2 Gaussian query/key pairs give no negative similarity, and cos >= |sin| holds."""
     spec = KernelSpec(lam=2.0)
     result = checks.similarity_nonnegative(make_rng(303), spec)
     assert result.bound == 0.0
     assert result.passed, result.detail
-    # the rowwise sweep is the same quantity as the 1-D map product of one pair
-    rng = make_rng(303)
-    qs = rng.standard_normal((100_000, 16))
-    ks = rng.standard_normal((100_000, 16))
-    rows = [0, 1234, 99_999]
-    sims = np.sum(phi_q(qs[rows], spec) * phi_k(ks[rows], spec), axis=1)
-    for sim, i in zip(sims, rows):
-        assert sim == pytest.approx(phi_q(qs[i], spec) @ phi_k(ks[i], spec), rel=1e-12)
-    _report(3, f"0 violations over 100000 pairs, min similarity {result.measured:.3e}")
+    # an entry of the pair matrix is the same quantity as the 1-D map product of one pair
+    qs, ks = make_rng(303).standard_normal((2, 1024, 16))
+    rows, cols = [0, 517, 1023], [1023, 0, 288]
+    sims = phi_q(qs[rows], spec) @ phi_k(ks[cols], spec).T
+    for sim, i, j in zip(np.diag(sims), rows, cols):
+        assert sim == pytest.approx(phi_q(qs[i], spec) @ phi_k(ks[j], spec), rel=1e-12)
+    _report(3, f"0 violations over 1048576 pairs, min similarity {result.measured:.3e}")
 
 
 def test_criterion_04_trig_block_norm_preservation():

@@ -459,6 +459,12 @@ class TestBlockLoop:
 
 #: sha256 of each evaluator's output bytes on _evaluator_pin_bytes' inputs.
 #: A change to the block loop, the fold or the readout must not move a bit.
+#: The bytes assume numpy 2.4.6 running its AVX-512 (X86_V4) loops: with
+#: NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" numpy's power and
+#: tan round as libm does, and this pin fails (README, "Tests and acceptance suite").
+#: The nala_quadratic entry also assumes OpenBLAS's default thread count (2 on
+#: the 2-core host it was computed on): with OPENBLAS_NUM_THREADS=1 its gemms
+#: sum in another order, and it fails.
 EVALUATOR_BYTES_SHA256 = {
     "nala_linear": "515ac4c1f308ada2804eed4abf3f7602deff8c9ea986f8835480f33e34ec2deb",
     "nala_causal_recurrent": "a67633055005c6765f1e655988f07d201d8fdbfbe2abd6b78d0224a79ae6ffc3",

@@ -268,14 +268,16 @@ class TestVerifyTheorems:
         assert a.read_bytes() == b.read_bytes()
 
     def test_nan_similarity_fails(self, tmp_path):
-        # at lambda 1000 the features overflow; the NaN must survive the block-wise minimum
+        # at lambda 1000 key features overflow to inf: both clauses fail, and the
+        # NaN similarity must survive the minimum
         with np.errstate(all="ignore"):
             code, out = run(tmp_path, "verify-theorems", "--seed", "1", "--lambda", "1000",
                             name="report.txt")
         assert code == 1
         (line,) = [x for x in out.read_text().splitlines() if "similarities" in x]
         assert line == ("FAIL kernel similarities are nonnegative: "
-                        "min similarity nan over 100000 Gaussian pairs")
+                        "min similarity nan over 1048576 Gaussian pairs; computed clause fails; "
+                        "structural clause fails: a non-finite entry in 503 of 1024 key rows")
 
     @pytest.mark.parametrize("flag, value", [("--n", "3"), ("--d", "1")])
     def test_too_small_sizes_are_errors(self, tmp_path, capsys, flag, value):
@@ -296,6 +298,10 @@ class TestVerifyTheorems:
 
 #: Full stdout at seed 7 and the default sizes.  Batching or vectorizing the
 #: checks must not change a certified byte.
+#: GRAD_CHECK_SEED_7 assumes numpy 2.4.6 running its AVX-512 (X86_V4) loops:
+#: with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" numpy's power
+#: and tan round as libm does, and it fails (README, "Tests and acceptance suite"); the
+#: verify-theorems pins hold there.
 GRAD_CHECK_SEED_7 = (
     "PASS phi_q: max rel error 1.37143075e-11 over 50 points (tol 1e-06)\n"
     "PASS phi_k: max rel error 3.6622673e-11 over 50 points (tol 1e-06)\n"
@@ -308,7 +314,7 @@ VERIFY_THEOREMS_SEED_7 = (
     "PASS one_plus_elu attention entropy moves less with the query norm than softmax's: largest one_plus_elu spread 0.014 vs smallest softmax spread 1.598\n"
     "PASS softmax attention entropy falls with the query norm: pooled pearson -0.9733 over 1 direction x 16 norms\n"
     "PASS entropy second differences nonpositive on random rows: max second difference -7.008e-02 over 50 rows x 12 coords\n"
-    "PASS kernel similarities are nonnegative: min similarity 9.699e-03 over 100000 Gaussian pairs\n"
+    "PASS kernel similarities are nonnegative: min similarity 6.360e-03 over 1048576 Gaussian pairs, cos >= |sin| in all 2048 feature rows\n"
     "PASS sign encoding preserves the trig-block norm: max |sum(cos^2+sin^2) - d| = 3.553e-15 over 1000 directions\n"
 )
 
@@ -316,6 +322,9 @@ VERIFY_THEOREMS_SEED_7 = (
 #: sha256 of default stdout of the commands whose outputs pass through the
 #: evaluators' readout.  A change to the block, the evaluators or their
 #: normalization must not move an output byte.
+#: The equiv-check entry assumes numpy 2.4.6 running its AVX-512 (X86_V4)
+#: loops: with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"
+#: numpy's power and tan round as libm does, and it fails (README, "Tests and acceptance suite").
 STDOUT_SHA256 = {
     "block-demo": "6d79c2e4eab3827e0a14f5c53b48f19ca3662312113155c1b62190abdc84ab91",
     "block-demo --causal": "e0e858eb024f0b336938fe6d57cc16de6272730a5a3f73c46c3802040aed612c",
@@ -333,6 +342,7 @@ def test_stdout_bytes(command, capsys):
 @pytest.mark.parametrize(
     "subcommand, expected",
     [("grad-check", GRAD_CHECK_SEED_7), ("verify-theorems", VERIFY_THEOREMS_SEED_7)],
+    ids=["grad-check", "verify-theorems"],
 )
 def test_seed_7_report_bytes(subcommand, expected, capsys):
     assert parse_and_dispatch([subcommand, "--seed", "7"]) == 0
@@ -350,7 +360,7 @@ VERIFY_THEOREMS_SEED_81 = (
     "PASS one_plus_elu attention entropy moves less with the query norm than softmax's: largest one_plus_elu spread 0.010 vs smallest softmax spread 1.651\n"
     "PASS softmax attention entropy falls with the query norm: pooled pearson -0.9871 over 1 direction x 16 norms\n"
     "PASS entropy second differences nonpositive on random rows: max second difference -6.723e-02 over 50 rows x 12 coords\n"
-    "PASS kernel similarities are nonnegative: min similarity 8.171e-03 over 100000 Gaussian pairs\n"
+    "PASS kernel similarities are nonnegative: min similarity 7.706e-03 over 1048576 Gaussian pairs, cos >= |sin| in all 2048 feature rows\n"
     "PASS sign encoding preserves the trig-block norm: max |sum(cos^2+sin^2) - d| = 3.553e-15 over 1000 directions\n"
 )
 

@@ -109,6 +109,9 @@ class TestStacks:
 
 #: sha256 of _jacobian_pin_bytes.  A change to the Jacobians or to the
 #: finite differences must not move a bit of their output.
+#: The bytes assume numpy 2.4.6 running its AVX-512 (X86_V4) loops: with
+#: NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" numpy's power and
+#: tan round as libm does, and this pin fails (README, "Tests and acceptance suite").
 JACOBIAN_BYTES_SHA256 = "85a0b890f8361cc819d233f776c1804726b28efc082b4c537f4607b18bc504ba"
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nala import checks
+from nala import checks, kernels
 from nala.errors import DimensionMismatch, NonFinite, WrongKernel
 from nala.kernels import (
     _MAP_BLOCK_ELEMS,
@@ -273,6 +273,9 @@ class TestMapAccuracy:
 
 #: sha256 of the phi_q and phi_k output bytes of _map_pin_bytes.  A change
 #: to the maps' arithmetic must not move a bit of their output.
+#: The bytes assume numpy 2.4.6 running its AVX-512 (X86_V4) loops: with
+#: NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" numpy's power and
+#: tan round as libm does, and this pin fails (README, "Tests and acceptance suite").
 MAP_BYTES_SHA256 = "ecf590617acab8d2d4198c2ec92227d32f5db001e3d1e921c2122162c26220f1"
 
 
@@ -468,8 +471,9 @@ class TestPairwiseSimilarity:
                 assert map_q(rng.standard_normal(8)) @ map_k(rng.standard_normal(8)) >= 0.0
 
     def test_check_holds_one_block_of_features(self):
-        # whole 10^5 x 32 feature arrays for both sides would peak at 74 MiB;
-        # the queries (12.2 MiB) and one block of keys and features stay below 20
+        # the 1024 x 1024 similarity matrix (8 MiB) is the largest array; with
+        # the two 1024 x 32 feature arrays the check peaked at 9.2 MiB, against
+        # 15.2 MiB when it held 10^5 query draws and streamed the keys
         tracemalloc.start()
         try:
             result = checks.similarity_nonnegative(make_rng(303), KernelSpec(lam=2.0))
@@ -477,7 +481,51 @@ class TestPairwiseSimilarity:
         finally:
             tracemalloc.stop()
         assert result.passed
-        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestSimilarityCheck:
+    """checks.similarity_nonnegative: each clause alone, and the draws it makes."""
+
+    @pytest.mark.parametrize("scale, computed_fails", [(math.pi / 2, True), (0.38 * math.pi, False)])
+    def test_structural_clause_catches_a_wide_squash(self, monkeypatch, scale, computed_fails):
+        # past pi/4 a squashed angle can leave cos < |sin|; at pi/2 some pairs'
+        # dot products are negative too, at 0.38 pi (seed 303) only the structure fails
+        monkeypatch.setattr(kernels, "SQUASH_SCALE", scale)
+        result = checks.similarity_nonnegative(make_rng(303), KernelSpec(lam=2.0))
+        assert not result.passed
+        assert "structural clause fails: cos < |sin| in" in result.detail
+        assert (result.measured < 0) is computed_fails
+        assert ("computed clause fails" in result.detail) is computed_fails
+
+    def test_measured_is_the_least_of_all_pairs(self):
+        spec = KernelSpec(lam=2.0)
+        result = checks.similarity_nonnegative(make_rng(303), spec)
+        q, k = make_rng(303).standard_normal((2, 1024, 16))
+        sims = np.einsum("ik,jk->ij", phi_q(q, spec), phi_k(k, spec), optimize=False)
+        assert sims.shape == (1024, 1024)
+        # the gemm sums in another order than einsum's loop; both agree to a few ulp
+        assert result.measured == pytest.approx(sims.min(), rel=4 * np.finfo(np.float64).eps)
+
+    def test_generator_state_is_one_draw_of_both_sides(self):
+        rng, reference = make_rng(303), make_rng(303)
+        checks.similarity_nonnegative(rng, KernelSpec(lam=2.0))
+        reference.standard_normal((2, 1024, 16))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_an_inf_feature_fails_the_structure_alone(self, monkeypatch):
+        # an inf cos entry times the keys' positive cos entries is +inf, which
+        # the minimum passes over; the finiteness half of the structure does not
+        def planted(x, spec):
+            out = phi_q(x, spec)
+            out[5, 3] = np.inf
+            return out
+
+        monkeypatch.setattr(checks, "phi_q", planted)
+        result = checks.similarity_nonnegative(make_rng(303), KernelSpec(lam=2.0))
+        assert not result.passed and result.measured >= 0
+        assert result.detail.endswith(
+            "; structural clause fails: a non-finite entry in 1 of 1024 query rows")
 
 
 class TestTrigBlockIdentities:
